@@ -9,7 +9,6 @@ equilibrium stops oscillating, solves the stationary infinite-horizon
 problem, and validates the cost formulas by Monte Carlo.
 """
 
-from ._accel import BACKEND
 from .errors import (
     IllConditionedWarning,
     ImpactGameError,
@@ -78,7 +77,6 @@ from .thresholds import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "__version__",
     "ImpactGameError",
     "ParameterError",

@@ -18,7 +18,9 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -37,6 +39,9 @@ from .thresholds import sweep
 
 __all__ = ["main", "cmd_equilibrium", "cmd_thresholds", "cmd_infinite", "cmd_montecarlo"]
 
+#: most values one grid specification may expand to
+MAX_SPEC_VALUES = 10_000
+
 
 def _fmt(value) -> str:
     """Stable text form for CSV cells: shortest round-trip decimal for floats."""
@@ -52,19 +57,19 @@ def _fmt(value) -> str:
 
 
 def _write_rows(path: str | None, header: list[str], rows) -> None:
-    if path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    target = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
+    with target as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def _parse_values(text: str, cast, name: str) -> list:
-    """Grid specification: 'a,b,c', 'lo:hi' (unit step), or 'lo:hi:step'."""
+    """Grid specification: 'a,b,c', 'lo:hi' (unit step), or 'lo:hi:step'.
+
+    Every part must be finite, and a specification expands to at most
+    MAX_SPEC_VALUES values.
+    """
     text = text.strip()
     if not text:
         raise ParameterError(f"{name} specification is empty")
@@ -78,6 +83,8 @@ def _parse_values(text: str, cast, name: str) -> list:
             step = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
             raise ParameterError(f"{name} range {text!r} has non-numeric parts") from None
+        if not all(math.isfinite(x) for x in (lo, hi, step)):
+            raise ParameterError(f"{name} range {text!r} has non-finite parts")
         if step <= 0.0:
             raise ParameterError(f"{name} range step must be positive, got {step}")
         if hi < lo:
@@ -88,6 +95,10 @@ def _parse_values(text: str, cast, name: str) -> list:
             value = lo + k * step
             if value > hi + 1e-9 * step:
                 break
+            if k == MAX_SPEC_VALUES:
+                raise ParameterError(
+                    f"{name} range {text!r} expands to more than {MAX_SPEC_VALUES} values"
+                )
             values.append(value)
             k += 1
     else:
@@ -95,6 +106,10 @@ def _parse_values(text: str, cast, name: str) -> list:
             values = [float(part) for part in text.split(",")]
         except ValueError:
             raise ParameterError(f"{name} list {text!r} has non-numeric parts") from None
+        if not all(math.isfinite(x) for x in values):
+            raise ParameterError(f"{name} list {text!r} has non-finite parts")
+        if len(values) > MAX_SPEC_VALUES:
+            raise ParameterError(f"{name} list has more than {MAX_SPEC_VALUES} values")
     if cast is int:
         out = []
         for value in values:
@@ -205,12 +220,9 @@ def cmd_infinite(args) -> int:
     if args.kernel != "exp":
         raise ParameterError("the stationary problem is defined for the exponential kernel only")
 
-    inventories = None
     strategies = None
     if args.inventories is not None:
-        inventories = np.asarray(_parse_values(args.inventories, float, "inventories"))
-        if inventories.size != args.n:
-            raise ParameterError(f"expected {args.n} inventories, got {inventories.size}")
+        inventories = _parse_inventories(args.inventories, args.n)
         strategies = infinite_nash(
             args.n, args.rho, args.gamma, args.sigma, theta, inventories, eps=args.eps
         )

@@ -33,16 +33,10 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.linalg import LinearOperator, onenormest
+from scipy.linalg.lapack import dgecon
 
-from . import _accel
 from .errors import IllConditionedWarning, NumericalError, ParameterError
-from .market_model import (
-    ExponentialKernel,
-    GameParams,
-    PowerLawKernel,
-    kernel_eval,
-)
+from .market_model import GameParams, _finite_vector, _integer_at_least, _positive_scalar
 
 __all__ = [
     "CONDITION_WARN_THRESHOLD",
@@ -85,22 +79,11 @@ class KernelMatrices:
             raise ParameterError("full and tilde must have matching shapes")
 
 
-def _decay_matrix(params: GameParams) -> np.ndarray:
-    """G(|t_k - t_l|) on the grid, via the accelerated path for built-in kernels."""
-    times = params.grid.times
-    kernel = params.kernel
-    if isinstance(kernel, ExponentialKernel):
-        return _accel.decay_matrix(times, _accel.KIND_EXPONENTIAL, kernel.rho)
-    if isinstance(kernel, PowerLawKernel):
-        return _accel.decay_matrix(times, _accel.KIND_POWER, kernel.p)
-    # generic kernel object: vectorized evaluation on the lag matrix
-    lag = np.abs(times[:, None] - times[None, :])
-    return kernel_eval(kernel, lag)
-
-
 def build_matrices(params: GameParams) -> KernelMatrices:
     """Assemble Gamma^{gamma,theta} and Gtilde for one game instance."""
-    decay = _decay_matrix(params)
+    # TimeGrid guarantees finite, nonnegative lags, so the kernel is evaluated directly
+    times = params.grid.times
+    decay = params.kernel.eval(np.abs(times[:, None] - times[None, :]))
     phi = params.phi_at_grid()
     full = decay + params.gamma * np.minimum.outer(phi, phi)
     np.fill_diagonal(full, full.diagonal() + 2.0 * params.theta)
@@ -109,19 +92,13 @@ def build_matrices(params: GameParams) -> KernelMatrices:
 
 
 def _condition_estimate(matrix: np.ndarray, lu) -> float:
-    """One-norm condition estimate kappa_1(A) from an existing LU factorization."""
-    norm = np.abs(matrix).sum(axis=0).max()
-    m = matrix.shape[0]
-    if m <= 4:
-        inv_norm = np.abs(sla.lu_solve(lu, np.eye(m))).sum(axis=0).max()
-    else:
-        op = LinearOperator(
-            matrix.shape,
-            matvec=lambda x: sla.lu_solve(lu, x),
-            rmatvec=lambda x: sla.lu_solve(lu, x, trans=1),
-        )
-        inv_norm = onenormest(op)
-    return float(norm * inv_norm)
+    """One-norm condition estimate kappa_1(A) from an existing LU factorization.
+
+    LAPACK dgecon runs the Hager-Higham estimator of ||A^{-1}||_1 on the LU
+    factors (Higham, Accuracy and Stability of Numerical Algorithms, ch. 15).
+    """
+    rcond, _ = dgecon(lu[0], np.abs(matrix).sum(axis=0).max(), norm="1")
+    return 1.0 / rcond if rcond > 0.0 else math.inf
 
 
 def _lu_factor(matrix: np.ndarray):
@@ -160,15 +137,9 @@ def _solve_base_vector(matrix: np.ndarray, label: str) -> tuple[np.ndarray, floa
     return x / total, cond
 
 
-def _check_agent_count(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-    return int(n)
-
-
 def compute_v(matrices: KernelMatrices, n: int) -> np.ndarray:
     """Base vector carrying the average inventory: [Gamma + (n-1) Gtilde]^{-1} 1, unit sum."""
-    n = _check_agent_count(n)
+    n = _integer_at_least(n, 1, "n")
     vec, _ = _solve_base_vector(matrices.full + (n - 1) * matrices.tilde, "v")
     return vec
 
@@ -191,13 +162,17 @@ def w_closed_form(steps: int, rho: float) -> np.ndarray:
     steps = int(steps)
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
-    if not np.isfinite(rho) or rho <= 0.0:
-        raise ParameterError(f"rho must be positive, got {rho}")
+    rho = _positive_scalar(rho, "rho")
     r = -math.expm1(-rho / steps)  # 1 - e^{-rho/N}
     denom = steps * r + 1.0
     w = np.full(steps + 1, r / denom)
     w[-1] = 1.0 / denom
     return w
+
+
+def _misses_inventory(total: float, inventory: float) -> bool:
+    """True when `total` differs from `inventory` by more than 1e-9 relative (absolute below 1)."""
+    return abs(total - inventory) > 1e-9 * max(1.0, abs(inventory))
 
 
 @dataclass(frozen=True)
@@ -214,8 +189,7 @@ class Strategy:
         inventory = float(self.inventory)
         if not np.isfinite(inventory):
             raise ParameterError("inventory must be finite")
-        tol = 1e-9 * max(1.0, abs(inventory))
-        if abs(trades.sum() - inventory) > tol:
+        if _misses_inventory(trades.sum(), inventory):
             raise ParameterError(
                 f"trades sum to {trades.sum()!r}, not the declared inventory {inventory!r}"
             )
@@ -255,15 +229,6 @@ class EquilibriumSolution:
         return max(self.condition_v, self.condition_w) > CONDITION_WARN_THRESHOLD
 
 
-def _inventories_vector(inventories, n: int) -> np.ndarray:
-    arr = np.asarray(inventories, dtype=float)
-    if arr.ndim != 1 or arr.size != n:
-        raise ParameterError(f"inventories must be a length-{n} vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("inventories must be finite")
-    return arr
-
-
 def _mv_cost_raw(
     matrices: KernelMatrices, s0: float, trades: np.ndarray, others_sum: np.ndarray, inventory: float
 ) -> float:
@@ -281,7 +246,7 @@ def nash_equilibrium(params: GameParams, inventories) -> EquilibriumSolution:
     carries the per-agent Lagrange multipliers, mean-variance costs, the
     first-order-condition residual, and condition estimates for both solves.
     """
-    inventories = _inventories_vector(inventories, params.n)
+    inventories = _finite_vector(inventories, params.n, "inventories")
     matrices = build_matrices(params)
     v, cond_v = _solve_base_vector(matrices.full + (params.n - 1) * matrices.tilde, "v")
     w, cond_w = _solve_base_vector(matrices.full - matrices.tilde, "w")
@@ -383,8 +348,7 @@ def optimality_gap(
     equilibrium = _strategy_like(equilibrium)
     if len(candidate) != len(equilibrium):
         raise ParameterError("candidate and equilibrium strategies differ in length")
-    tol = 1e-9 * max(1.0, abs(equilibrium.inventory))
-    if abs(candidate.inventory - equilibrium.inventory) > tol:
+    if _misses_inventory(candidate.inventory, equilibrium.inventory):
         raise ParameterError(
             f"candidate inventory {candidate.inventory!r} does not match "
             f"equilibrium inventory {equilibrium.inventory!r}"

@@ -25,7 +25,16 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .finite_game import build_matrices
-from .market_model import BachelierVariance, ExponentialKernel, GameParams, TimeGrid
+from .market_model import (
+    BachelierVariance,
+    ExponentialKernel,
+    GameParams,
+    TimeGrid,
+    _finite_vector,
+    _integer_at_least,
+    _nonnegative_scalar,
+    _positive_scalar,
+)
 
 __all__ = [
     "TruncatedSequence",
@@ -45,31 +54,23 @@ __all__ = [
 ]
 
 
-def _check_positive(value, name: str) -> float:
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{name} must be a finite positive number, got {value}")
-    return value
-
-
-def _check_nonnegative(value, name: str) -> float:
-    value = float(value)
-    if not np.isfinite(value) or value < 0.0:
-        raise ParameterError(f"{name} must be a finite nonnegative number, got {value}")
-    return value
-
-
-def _check_n(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-    return int(n)
-
-
 def _check_eps(eps) -> float:
     eps = float(eps)
     if not (0.0 < eps < 1.0):
         raise ParameterError(f"truncation bound eps must lie in (0, 1), got {eps}")
     return eps
+
+
+def _market_inputs(rho, gamma, sigma, gamma_positive: bool = True) -> tuple[float, float, float]:
+    """Validated rho > 0, sigma > 0 and gamma > 0 (gamma >= 0 unless gamma_positive)."""
+    check_gamma = _positive_scalar if gamma_positive else _nonnegative_scalar
+    return _positive_scalar(rho, "rho"), check_gamma(gamma, "gamma"), _positive_scalar(sigma, "sigma")
+
+
+def _risk_term(rate: float, gamma: float, sigma: float) -> float:
+    """gamma sigma^2 e^{-rate}/(1 - e^{-rate})^2, the variance term of both root equations."""
+    em = math.expm1(-rate)  # e^{-rate} - 1
+    return gamma * sigma * sigma * math.exp(-rate) / (em * em)
 
 
 def alpha_residual(alpha: float, n: int, rho: float, gamma: float, sigma: float) -> float:
@@ -78,20 +79,15 @@ def alpha_residual(alpha: float, n: int, rho: float, gamma: float, sigma: float)
     Tends to -inf as alpha -> 0+, is strictly increasing, and crosses zero
     once in (0, rho).  Undefined at alpha = rho (pole).
     """
-    n = _check_n(n)
-    rho = _check_positive(rho, "rho")
-    gamma = _check_nonnegative(gamma, "gamma")
-    sigma = _check_positive(sigma, "sigma")
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    n = _integer_at_least(n, 1, "n")
+    rho, gamma, sigma = _market_inputs(rho, gamma, sigma, gamma_positive=False)
+    alpha = _positive_scalar(alpha, "alpha")
     if alpha == rho:
         raise ParameterError("alpha_residual has a pole at alpha = rho")
-    em = math.expm1(-alpha)  # e^{-a} - 1
     return (
         1.0 / math.expm1(alpha + rho)
         - n / math.expm1(alpha - rho)
-        - gamma * sigma * sigma * math.exp(-alpha) / (em * em)
+        - _risk_term(alpha, gamma, sigma)
     )
 
 
@@ -101,19 +97,14 @@ def beta_residual(beta: float, theta: float, rho: float, gamma: float, sigma: fl
     Tends to -inf as beta -> 0+ and to 2 theta + 1/2 as beta -> inf; strictly
     increasing, so it crosses zero exactly once.
     """
-    theta = _check_nonnegative(theta, "theta")
-    rho = _check_positive(rho, "rho")
-    gamma = _check_nonnegative(gamma, "gamma")
-    sigma = _check_positive(sigma, "sigma")
-    beta = float(beta)
-    if not np.isfinite(beta) or beta <= 0.0:
-        raise ParameterError(f"beta must be positive, got {beta}")
-    em = math.expm1(-beta)
+    theta = _nonnegative_scalar(theta, "theta")
+    rho, gamma, sigma = _market_inputs(rho, gamma, sigma, gamma_positive=False)
+    beta = _positive_scalar(beta, "beta")
     return (
         2.0 * theta
         + 0.5
         + 1.0 / math.expm1(beta + rho)
-        - gamma * sigma * sigma * math.exp(-beta) / (em * em)
+        - _risk_term(beta, gamma, sigma)
     )
 
 
@@ -138,7 +129,7 @@ def _bisect_to_ulp(f, lo: float, hi: float, f_lo: float) -> float:
     return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
-def solve_alpha(n: int, rho: float, gamma: float, sigma: float, tol: float = 1e-14) -> float:
+def solve_alpha(n: int, rho: float, gamma: float, sigma: float) -> float:
     """Root of the alpha equation in (0, rho), located by bisection.
 
     The initial bracket (eps, rho - eps) shrinks eps by factors of ten until
@@ -148,15 +139,10 @@ def solve_alpha(n: int, rho: float, gamma: float, sigma: float, tol: float = 1e-
     smaller |residual| of the two; where the float residual is monotone over
     the neighbours, it changes sign across them.  Where the root is pinned
     against the pole at rho, one ulp can move the residual by more than any
-    fixed tolerance, so |residual| at the returned root can exceed it.  tol
-    is validated but does not change the result.
+    fixed tolerance, so |residual| at the returned root can exceed it.
     """
-    n = _check_n(n)
-    rho = _check_positive(rho, "rho")
-    gamma = _check_positive(gamma, "gamma")
-    sigma = _check_positive(sigma, "sigma")
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    n = _integer_at_least(n, 1, "n")
+    rho, gamma, sigma = _market_inputs(rho, gamma, sigma)
 
     def f(a):
         return alpha_residual(a, n, rho, gamma, sigma)
@@ -185,26 +171,20 @@ def alpha_closed_form_n1(rho: float, gamma: float, sigma: float) -> float:
     (gamma sigma^2 + 2 sinh(rho)), evaluated here in a cancellation-free
     arrangement: with x - 1 = d, arccosh(x) = log1p(d + sqrt(d (2 + d))).
     """
-    rho = _check_positive(rho, "rho")
-    gamma = _check_positive(gamma, "gamma")
-    sigma = _check_positive(sigma, "sigma")
+    rho, gamma, sigma = _market_inputs(rho, gamma, sigma)
     gs2 = gamma * sigma * sigma
     d = gs2 * (math.cosh(rho) - 1.0) / (gs2 + 2.0 * math.sinh(rho))
     return math.log1p(d + math.sqrt(d * (2.0 + d)))
 
 
-def solve_beta(theta: float, rho: float, gamma: float, sigma: float, tol: float = 1e-14) -> float:
+def solve_beta(theta: float, rho: float, gamma: float, sigma: float) -> float:
     """Unique root of the beta equation, located by bracketing and bisection.
 
     The lower end starts at 1e-12 (where the residual diverges to -inf); the
     upper end doubles from 1 until the residual turns positive.
     """
-    theta = _check_nonnegative(theta, "theta")
-    rho = _check_positive(rho, "rho")
-    gamma = _check_positive(gamma, "gamma")
-    sigma = _check_positive(sigma, "sigma")
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    theta = _nonnegative_scalar(theta, "theta")
+    rho, gamma, sigma = _market_inputs(rho, gamma, sigma)
 
     def g(b):
         return beta_residual(b, theta, rho, gamma, sigma)
@@ -248,6 +228,23 @@ def _truncation_index(rate: float, eps: float) -> int:
     return math.ceil(math.log(1.0 / eps) / rate)
 
 
+def _v_values(alpha: float, rho: float, m: int) -> tuple[np.ndarray, float]:
+    """Normalized v_0, ..., v_m and the normalized mass beyond v_m."""
+    nu0 = 1.0 / (-math.expm1(alpha - rho))  # 1/(1 - e^{alpha-rho})
+    total = 1.0 / math.expm1(alpha) + nu0  # sum of the unnormalized sequence
+    values = np.exp(-alpha * np.arange(m + 1)) / total
+    values[0] = nu0 / total
+    tail = math.exp(-alpha * (m + 1)) / ((-math.expm1(-alpha)) * total)
+    return values, tail
+
+
+def _w_values(beta: float, m: int) -> tuple[np.ndarray, float]:
+    """Normalized w_0, ..., w_m and the normalized mass beyond w_m."""
+    values = (-math.expm1(-beta)) * np.exp(-beta * np.arange(m + 1))  # (1 - e^{-beta}) e^{-beta i}
+    tail = math.exp(-beta * (m + 1))  # exact normalized geometric remainder
+    return values, tail
+
+
 def infinite_v(alpha: float, rho: float, eps: float = 1e-12) -> TruncatedSequence:
     """Normalized symmetric base sequence v_0, ..., v_M, M = ceil(log(1/eps)/alpha).
 
@@ -255,34 +252,24 @@ def infinite_v(alpha: float, rho: float, eps: float = 1e-12) -> TruncatedSequenc
     entry 1/(1 - e^{alpha - rho}); tail_mass bounds the discarded normalized
     mass and is itself bounded by eps.
     """
-    rho = _check_positive(rho, "rho")
+    rho = _positive_scalar(rho, "rho")
     alpha = float(alpha)
     if not (0.0 < alpha < rho):
         raise ParameterError(f"alpha must lie in (0, rho) = (0, {rho}), got {alpha}")
-    eps = _check_eps(eps)
-    m = _truncation_index(alpha, eps)
-    nu0 = 1.0 / (-math.expm1(alpha - rho))  # 1/(1 - e^{alpha-rho})
-    total = 1.0 / math.expm1(alpha) + nu0  # sum of the unnormalized sequence
-    values = np.exp(-alpha * np.arange(m + 1)) / total
-    values[0] = nu0 / total
-    tail = math.exp(-alpha * (m + 1)) / ((-math.expm1(-alpha)) * total)
+    values, tail = _v_values(alpha, rho, _truncation_index(alpha, _check_eps(eps)))
     return TruncatedSequence(values=values, tail_mass=tail)
 
 
 def infinite_w(beta: float, eps: float = 1e-12) -> TruncatedSequence:
     """Normalized deviation base sequence w_i = (1 - e^{-beta}) e^{-beta i}, truncated."""
-    beta = _check_positive(beta, "beta")
-    eps = _check_eps(eps)
-    m = _truncation_index(beta, eps)
-    scale = -math.expm1(-beta)  # 1 - e^{-beta}
-    values = scale * np.exp(-beta * np.arange(m + 1))
-    tail = math.exp(-beta * (m + 1))  # exact normalized geometric remainder
+    beta = _positive_scalar(beta, "beta")
+    values, tail = _w_values(beta, _truncation_index(beta, _check_eps(eps)))
     return TruncatedSequence(values=values, tail_mass=tail)
 
 
 def critical_theta_infinite(n: int) -> float:
     """Transaction-cost level (n - 1)/4 required for a nonzero average inventory."""
-    return (_check_n(n) - 1) / 4.0
+    return (_integer_at_least(n, 1, "n") - 1) / 4.0
 
 
 @dataclass(frozen=True)
@@ -313,20 +300,14 @@ def solve_stationary(
     The sequences are extended to a common truncation length (the longer of
     the two individual truncations) so they can be combined entrywise.
     """
-    n = _check_n(n)
-    theta = _check_nonnegative(theta, "theta")
+    n = _integer_at_least(n, 1, "n")
+    theta = _nonnegative_scalar(theta, "theta")
     eps = _check_eps(eps)
     alpha = solve_alpha(n, rho, gamma, sigma)
     beta = solve_beta(theta, rho, gamma, sigma)
     m = max(_truncation_index(alpha, eps), _truncation_index(beta, eps))
-    indices = np.arange(m + 1)
-    nu0 = 1.0 / (-math.expm1(alpha - rho))
-    total = 1.0 / math.expm1(alpha) + nu0
-    v_vals = np.exp(-alpha * indices) / total
-    v_vals[0] = nu0 / total
-    tail_v = math.exp(-alpha * (m + 1)) / ((-math.expm1(-alpha)) * total)
-    w_vals = (-math.expm1(-beta)) * np.exp(-beta * indices)
-    tail_w = math.exp(-beta * (m + 1))
+    v_vals, tail_v = _v_values(alpha, rho, m)
+    w_vals, tail_w = _w_values(beta, m)
     return InfiniteHorizonSolution(
         alpha=alpha,
         beta=beta,
@@ -354,12 +335,8 @@ def infinite_nash(
     A nonzero average inventory requires theta = (n - 1)/4 exactly (up to
     relative round-off); zero-sum profiles are accepted for any theta >= 0.
     """
-    n = _check_n(n)
-    inventories = np.asarray(inventories, dtype=float)
-    if inventories.ndim != 1 or inventories.size != n:
-        raise ParameterError(f"inventories must be a length-{n} vector")
-    if not np.all(np.isfinite(inventories)):
-        raise ParameterError("inventories must be finite")
+    n = _integer_at_least(n, 1, "n")
+    inventories = _finite_vector(inventories, n, "inventories")
     xbar = inventories.mean()
     scale = max(1.0, np.abs(inventories).max())
     if abs(xbar) <= 1e-12 * scale:
@@ -393,6 +370,37 @@ def _extended_grid_length(rate: float, m: int, gamma: float, sigma: float, rho: 
     return max(m, needed)
 
 
+def _identity_deviation(
+    rate: float, head: float, n: int, theta: float, weight: int,
+    rho: float, gamma: float, sigma: float, eps: float,
+) -> float:
+    """Max deviation of rows 0 .. M/2 of [Gamma + weight Gtilde] x from their constant value.
+
+    x_i = e^{-rate i} except x_0 = head; Gamma carries n agents and theta,
+    and M = ceil(log(1/eps)/rate).  Every row of the infinite product equals
+    gamma sigma^2 e^{-rate}/(1 - e^{-rate})^2.
+    """
+    m = _truncation_index(rate, eps)
+    m_build = _extended_grid_length(rate, m, gamma, sigma, rho, eps)
+    grid = TimeGrid(np.arange(m_build + 1, dtype=float))
+    params = GameParams(
+        n=n,
+        gamma=gamma,
+        theta=theta,
+        kernel=ExponentialKernel(rho),
+        variance=BachelierVariance(sigma),
+        grid=grid,
+    )
+    matrices = build_matrices(params)
+    x = np.exp(-rate * grid.times)
+    x[0] = head
+    # in place: one (M+1)^2 temporary besides the two kernel matrices
+    matrix = weight * matrices.tilde
+    matrix += matrices.full
+    rows = matrix @ x
+    return float(np.abs(rows[: m // 2 + 1] - _risk_term(rate, gamma, sigma)).max())
+
+
 def v_identity_deviation(
     alpha: float, n: int, rho: float, gamma: float, sigma: float, eps: float = 1e-12
 ) -> float:
@@ -403,31 +411,15 @@ def v_identity_deviation(
     equals gamma sigma^2 e^{-alpha}/(1 - e^{-alpha})^2.  The check runs on
     rows 0 .. M/2 with M = ceil(log(1/eps)/alpha).
     """
-    n = _check_n(n)
-    rho = _check_positive(rho, "rho")
-    gamma = _check_positive(gamma, "gamma")
-    sigma = _check_positive(sigma, "sigma")
+    n = _integer_at_least(n, 1, "n")
+    rho, gamma, sigma = _market_inputs(rho, gamma, sigma)
     eps = _check_eps(eps)
     if not (0.0 < alpha < rho):
         raise ParameterError(f"alpha must lie in (0, rho), got {alpha}")
-    m = _truncation_index(alpha, eps)
-    m_build = _extended_grid_length(alpha, m, gamma, sigma, rho, eps)
-    grid = TimeGrid(np.arange(m_build + 1, dtype=float))
-    params = GameParams(
-        n=n,
-        gamma=gamma,
-        theta=critical_theta_infinite(n),
-        kernel=ExponentialKernel(rho),
-        variance=BachelierVariance(sigma),
-        grid=grid,
+    head = 1.0 / (-math.expm1(alpha - rho))
+    return _identity_deviation(
+        alpha, head, n, critical_theta_infinite(n), n - 1, rho, gamma, sigma, eps
     )
-    matrices = build_matrices(params)
-    nu = np.exp(-alpha * grid.times)
-    nu[0] = 1.0 / (-math.expm1(alpha - rho))
-    rows = (matrices.full + (n - 1) * matrices.tilde) @ nu
-    em = math.expm1(-alpha)
-    constant = gamma * sigma * sigma * math.exp(-alpha) / (em * em)
-    return float(np.abs(rows[: m // 2 + 1] - constant).max())
 
 
 def w_identity_deviation(
@@ -439,26 +431,8 @@ def w_identity_deviation(
     infinite product equals gamma sigma^2 e^{-beta}/(1 - e^{-beta})^2.  The
     check runs on rows 0 .. M/2 with M = ceil(log(1/eps)/beta).
     """
-    beta = _check_positive(beta, "beta")
-    theta = _check_nonnegative(theta, "theta")
-    rho = _check_positive(rho, "rho")
-    gamma = _check_positive(gamma, "gamma")
-    sigma = _check_positive(sigma, "sigma")
+    beta = _positive_scalar(beta, "beta")
+    theta = _nonnegative_scalar(theta, "theta")
+    rho, gamma, sigma = _market_inputs(rho, gamma, sigma)
     eps = _check_eps(eps)
-    m = _truncation_index(beta, eps)
-    m_build = _extended_grid_length(beta, m, gamma, sigma, rho, eps)
-    grid = TimeGrid(np.arange(m_build + 1, dtype=float))
-    params = GameParams(
-        n=1,
-        gamma=gamma,
-        theta=theta,
-        kernel=ExponentialKernel(rho),
-        variance=BachelierVariance(sigma),
-        grid=grid,
-    )
-    matrices = build_matrices(params)
-    omega = np.exp(-beta * grid.times)
-    rows = (matrices.full - matrices.tilde) @ omega
-    em = math.expm1(-beta)
-    constant = gamma * sigma * sigma * math.exp(-beta) / (em * em)
-    return float(np.abs(rows[: m // 2 + 1] - constant).max())
+    return _identity_deviation(beta, 1.0, 1, theta, -1, rho, gamma, sigma, eps)

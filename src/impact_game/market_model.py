@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 
+# Parameter validators, shared by every module of the package.  Each raises
+# ParameterError with a message that names the offending parameter.
+
+
 def _readonly_vector(values, name: str) -> np.ndarray:
     """Copy `values` into a read-only 1-d float array, or raise ParameterError."""
     arr = np.array(values, dtype=float, copy=True)
@@ -65,6 +69,23 @@ def _nonnegative_scalar(value, name: str) -> float:
     if not np.isfinite(value) or value < 0.0:
         raise ParameterError(f"{name} must be a finite nonnegative number, got {value}")
     return value
+
+
+def _integer_at_least(value, lower: int, name: str) -> int:
+    """`value` as an int, or raise ParameterError unless it is an integer >= lower."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < lower:
+        raise ParameterError(f"{name} must be an integer >= {lower}, got {value!r}")
+    return int(value)
+
+
+def _finite_vector(values, size: int, name: str) -> np.ndarray:
+    """`values` as a finite 1-d float array of length `size`, or raise ParameterError."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size != size:
+        raise ParameterError(f"{name} must be a length-{size} vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{name} must be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -195,10 +216,7 @@ class GameParams:
     s0: float = 0.0
 
     def __post_init__(self):
-        n = self.n
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", _integer_at_least(self.n, 1, "n"))
         object.__setattr__(self, "gamma", _nonnegative_scalar(self.gamma, "gamma"))
         object.__setattr__(self, "theta", _nonnegative_scalar(self.theta, "theta"))
         s0 = float(self.s0)

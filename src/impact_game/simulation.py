@@ -7,8 +7,8 @@ The realized execution cost of agent i along one unaffected price path is
 
 with S_impacted_k = S_unaffected_k - sum_{l<k} G(t_k - t_l) tot_l and
 tot = sum_j xi_j.  This is affine in the path, cost_i = A_i - xi_i . S0,
-so a batch of paths reduces to one matrix product (the accelerated kernel
-in _accel); A_i is obtained by pricing a zero path.
+so a batch of paths reduces to one matrix product; A_i is obtained by
+pricing a zero path.
 
 Closed-form targets for the mean come from the gamma = 0 kernel matrices;
 the variance target is xi' Phi xi with Phi_{kl} = phi(t_k ^ t_l), which
@@ -35,10 +35,15 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _accel
 from .errors import ParameterError
 from .finite_game import _strategy_like, build_matrices
-from .market_model import BachelierVariance, GameParams, kernel_eval
+from .market_model import (
+    BachelierVariance,
+    GameParams,
+    _finite_vector,
+    _integer_at_least,
+    kernel_eval,
+)
 
 __all__ = [
     "PricePath",
@@ -111,15 +116,6 @@ def _trades_matrix(params: GameParams, strategies: Sequence) -> np.ndarray:
     return np.column_stack([s.trades for s in strategies])
 
 
-def _unaffected_vector(unaffected, m: int) -> np.ndarray:
-    arr = np.asarray(unaffected, dtype=float)
-    if arr.ndim != 1 or arr.size != m:
-        raise ParameterError(f"unaffected path must be a length-{m} vector")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("unaffected path must be finite")
-    return arr
-
-
 def impacted_path(params: GameParams, strategies: Sequence, unaffected) -> PricePath:
     """Price path after the aggregate transient impact of all agents.
 
@@ -128,7 +124,7 @@ def impacted_path(params: GameParams, strategies: Sequence, unaffected) -> Price
     """
     trades = _trades_matrix(params, strategies)
     times = params.grid.times
-    unaffected = _unaffected_vector(unaffected, times.size)
+    unaffected = _finite_vector(unaffected, times.size, "unaffected path")
     lag = np.abs(times[:, None] - times[None, :])
     decay_strict = np.tril(kernel_eval(params.kernel, lag), -1)
     impact = decay_strict @ trades.sum(axis=1)
@@ -159,14 +155,6 @@ def realized_costs(params: GameParams, strategies: Sequence, unaffected) -> np.n
     return costs
 
 
-def _validate_count_seed(count, seed) -> tuple[int, int]:
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
-        raise ParameterError(f"count must be an integer >= 1, got {count!r}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(count), int(seed)
-
-
 def _increment_stds(params: GameParams) -> np.ndarray:
     """Standard deviations of the price increments between grid times.
 
@@ -180,14 +168,20 @@ def _increment_stds(params: GameParams) -> np.ndarray:
     return np.sqrt(dphi)
 
 
-def _cost_matrix(params: GameParams, trades: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """Realized costs for `count` paths, shape (count, n)."""
+def _cost_matrix(
+    params: GameParams, strategies: Sequence, count, seed
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Validated (count, seed, trades) and the realized costs of `count` paths, shape (count, n)."""
+    count = _integer_at_least(count, 1, "count")
+    seed = _integer_at_least(seed, 0, "seed")
+    trades = _trades_matrix(params, strategies)
     fixed = realized_costs(params, list(trades.T), np.zeros(trades.shape[0]))
     stds = _increment_stds(params)
     rng = np.random.default_rng(seed)
     increments = rng.standard_normal((count, trades.shape[0])) * stds[None, :]
     paths = params.s0 + np.cumsum(increments, axis=1)
-    return _accel.path_costs(paths, trades, fixed)
+    # cost[p, i] = fixed[i] - sum_k paths[p, k] * trades[k, i]
+    return count, seed, trades, fixed[None, :] - paths @ trades
 
 
 def simulate_paths(params: GameParams, strategies: Sequence, count: int, seed: int) -> list[CostSample]:
@@ -196,9 +190,7 @@ def simulate_paths(params: GameParams, strategies: Sequence, count: int, seed: i
     Gaussian increments come from a single seeded generator, so the batch
     is reproducible bit for bit given (seed, count).
     """
-    count, seed = _validate_count_seed(count, seed)
-    trades = _trades_matrix(params, strategies)
-    costs = _cost_matrix(params, trades, count, seed)
+    count, seed, _, costs = _cost_matrix(params, strategies, count, seed)
     return [CostSample(costs=costs[p], seed=seed, index=p) for p in range(count)]
 
 
@@ -288,9 +280,7 @@ def validate_moments(params: GameParams, strategies: Sequence, count: int, seed:
     the asymptotic standard error sqrt((m4 - m2^2) / count) built from the
     sample's central moments.
     """
-    count, seed = _validate_count_seed(count, seed)
-    trades = _trades_matrix(params, strategies)
-    costs = _cost_matrix(params, trades, count, seed)
+    count, seed, trades, costs = _cost_matrix(params, strategies, count, seed)
     target_means, target_variances = _moment_targets(params, trades)
 
     reports = []
@@ -366,9 +356,7 @@ def validate_cara(params: GameParams, strategies: Sequence, count: int, seed: in
     """
     if not isinstance(params.variance, BachelierVariance):
         raise ParameterError("the utility comparison requires a Bachelier variance function")
-    count, seed = _validate_count_seed(count, seed)
-    trades = _trades_matrix(params, strategies)
-    costs = _cost_matrix(params, trades, count, seed)
+    count, seed, trades, costs = _cost_matrix(params, strategies, count, seed)
     target_means, target_variances = _moment_targets(params, trades)
     return [
         _cara_report(

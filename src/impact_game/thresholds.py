@@ -33,6 +33,9 @@ from .market_model import (
     GameParams,
     TimeGrid,
     VarianceFunction,
+    _integer_at_least,
+    _nonnegative_scalar,
+    _positive_scalar,
 )
 
 __all__ = [
@@ -167,6 +170,8 @@ def _search(probe: _BaseVectorProbe, upper_start: float, resolution: float):
             )
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # lo and hi are adjacent doubles: no finer bracket exists
         if probe.monotone_at(mid):
             hi = mid
         else:
@@ -174,13 +179,39 @@ def _search(probe: _BaseVectorProbe, upper_start: float, resolution: float):
     return 0.5 * (lo + hi), (lo, hi)
 
 
-def _validate_search_args(steps: int, gamma: float, resolution: float) -> None:
-    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
-        raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
-    if not np.isfinite(gamma) or gamma < 0.0:
-        raise ParameterError(f"gamma must be finite and nonnegative, got {gamma}")
-    if not np.isfinite(resolution) or resolution <= 0.0:
-        raise ParameterError(f"resolution must be positive, got {resolution}")
+def _critical_theta(
+    which: str,
+    n: int,
+    steps: int,
+    gamma: float,
+    kernel: DecayKernel | None,
+    variance: VarianceFunction | None,
+    resolution: float,
+) -> ThresholdResult:
+    """Bisection on the given grid plus its half-steps rerun, for either base vector."""
+    n = _integer_at_least(n, 1, "n")
+    steps = _integer_at_least(steps, 1, "steps")
+    gamma = _nonnegative_scalar(gamma, "gamma")
+    resolution = _positive_scalar(resolution, "resolution")
+    kernel = ExponentialKernel(1.0) if kernel is None else kernel
+    variance = BachelierVariance(1.0) if variance is None else variance
+    upper = max(1.0, float(n))
+
+    probe = _BaseVectorProbe(which, n, steps, gamma, kernel, variance)
+    theta_star, bracket = _search(probe, upper, resolution)
+    coarse_probe = _BaseVectorProbe(which, n, max(1, steps // 2), gamma, kernel, variance)
+    theta_coarse, _ = _search(coarse_probe, upper, resolution)
+    return ThresholdResult(
+        theta_star=theta_star,
+        bracket=bracket,
+        evaluations=probe.evaluations + coarse_probe.evaluations,
+        steps=steps,
+        gamma=gamma,
+        which=which,  # type: ignore[arg-type]
+        converged=abs(theta_star - theta_coarse) <= 2.0 * resolution,
+        theta_star_coarse=theta_coarse,
+        n=n if which == "v" else None,
+    )
 
 
 def critical_theta_v(
@@ -197,28 +228,7 @@ def critical_theta_v(
     repeats on a grid with half the steps; the result is flagged converged
     when the two thresholds agree within twice the resolution.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-    _validate_search_args(steps, gamma, resolution)
-    kernel = ExponentialKernel(1.0) if kernel is None else kernel
-    variance = BachelierVariance(1.0) if variance is None else variance
-    upper = max(1.0, float(n))
-
-    probe = _BaseVectorProbe("v", n, steps, gamma, kernel, variance)
-    theta_star, bracket = _search(probe, upper, resolution)
-    coarse_probe = _BaseVectorProbe("v", n, max(1, steps // 2), gamma, kernel, variance)
-    theta_coarse, _ = _search(coarse_probe, upper, resolution)
-    return ThresholdResult(
-        theta_star=theta_star,
-        bracket=bracket,
-        evaluations=probe.evaluations + coarse_probe.evaluations,
-        steps=steps,
-        gamma=float(gamma),
-        which="v",
-        converged=abs(theta_star - theta_coarse) <= 2.0 * resolution,
-        theta_star_coarse=theta_coarse,
-        n=int(n),
-    )
+    return _critical_theta("v", n, steps, gamma, kernel, variance, resolution)
 
 
 def critical_theta_w(
@@ -234,25 +244,7 @@ def critical_theta_w(
     taken; convergence is checked against a half-steps rerun as for
     ``critical_theta_v``.
     """
-    _validate_search_args(steps, gamma, resolution)
-    kernel = ExponentialKernel(1.0) if kernel is None else kernel
-    variance = BachelierVariance(1.0) if variance is None else variance
-
-    probe = _BaseVectorProbe("w", 1, steps, gamma, kernel, variance)
-    theta_star, bracket = _search(probe, 1.0, resolution)
-    coarse_probe = _BaseVectorProbe("w", 1, max(1, steps // 2), gamma, kernel, variance)
-    theta_coarse, _ = _search(coarse_probe, 1.0, resolution)
-    return ThresholdResult(
-        theta_star=theta_star,
-        bracket=bracket,
-        evaluations=probe.evaluations + coarse_probe.evaluations,
-        steps=steps,
-        gamma=float(gamma),
-        which="w",
-        converged=abs(theta_star - theta_coarse) <= 2.0 * resolution,
-        theta_star_coarse=theta_coarse,
-        n=None,
-    )
+    return _critical_theta("w", 1, steps, gamma, kernel, variance, resolution)
 
 
 def _failed_point(point: dict, which: str, message: str) -> ThresholdResult:

@@ -114,6 +114,26 @@ class TestThresholds:
         _, rows = csv_lines(out)
         assert [row[0] for row in rows] == ["2", "3", "4"]
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ["--which", "w", "--N", "inf"],
+            ["--which", "w", "--N", "1e400"],
+            ["--which", "v", "--n", "nan"],
+            ["--which", "w", "--gamma", "0:inf"],
+            ["--which", "w", "--gamma", "nan:1"],
+            ["--which", "w", "--gamma", "0:1:inf"],
+            ["--which", "w", "--gamma", "0:1:1e-15"],
+            ["--which", "w", "--gamma", ",".join(["0"] * 10_001)],
+        ],
+        ids=["list-inf", "list-overflow", "list-nan", "range-inf-end", "range-nan-start",
+             "range-inf-step", "range-oversized", "list-oversized"],
+    )
+    def test_non_finite_or_oversized_spec_exits_2(self, capsys, spec):
+        code, _, err = run(capsys, ["thresholds", *spec])
+        assert code == 2
+        assert "error" in err
+
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(
             capsys, ["thresholds", "--which", "v", "--n", "2.5", "--N", "30", "--gamma", "0"]

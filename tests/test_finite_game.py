@@ -1,10 +1,14 @@
 """Finite-horizon equilibrium: matrices, base vectors, costs, optimality."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import impact_game
 from impact_game import (
     BachelierVariance,
     ExponentialKernel,
@@ -74,6 +78,16 @@ class TestBuildMatrices:
         # diag: G(0) + gamma phi(t) + 2 theta; off-diag: G(1) + gamma phi(0)
         np.testing.assert_array_equal(mats.full, np.array([[1.5, e], [e, 3.5]]))
         np.testing.assert_array_equal(mats.tilde, np.array([[0.5, 0.0], [e, 0.5]]))
+
+    def test_exponential_entries(self):
+        params = make_params(
+            kernel=ExponentialKernel(1.3), gamma=0.0, theta=0.0, grid=TimeGrid(np.array([0.0, 0.5, 2.0]))
+        )
+        mats = build_matrices(params)
+        np.testing.assert_array_equal(np.diag(mats.full), np.ones(3))
+        assert mats.full[0, 1] == pytest.approx(math.exp(-1.3 * 0.5), rel=1e-15)
+        assert mats.full[2, 0] == pytest.approx(math.exp(-1.3 * 2.0), rel=1e-15)
+        np.testing.assert_array_equal(mats.full, mats.full.T)
 
     def test_power_law_entries(self):
         params = make_params(
@@ -445,3 +459,21 @@ class TestNumericalGuards:
             sol = nash_equilibrium(params, [1.0, 1.0])
         assert sol.ill_conditioned
         assert max(sol.condition_v, sol.condition_w) > 1e12
+
+
+def test_import_leaves_numba_and_sparse_unloaded():
+    # the condition estimate runs LAPACK dgecon on the LU, so neither the
+    # numba jit nor scipy.sparse is loaded by the package
+    code = (
+        "import sys, impact_game; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'numba' or m.startswith('scipy.sparse')))"
+    )
+    src = os.path.dirname(os.path.dirname(impact_game.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "[]"

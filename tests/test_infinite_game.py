@@ -109,8 +109,6 @@ class TestSolveAlpha:
             solve_alpha(1, 1.0, 0.0, 1.0)  # needs positive risk aversion
         with pytest.raises(ParameterError):
             solve_alpha(1, -1.0, 1.0, 1.0)
-        with pytest.raises(ParameterError):
-            solve_alpha(1, 1.0, 1.0, 1.0, tol=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -22,7 +22,6 @@ from impact_game import (
     validate_cara,
     validate_moments,
 )
-from impact_game import _accel
 
 
 def make_params(
@@ -170,16 +169,18 @@ class TestSimulatePaths:
             np.testing.assert_array_equal(sample.costs, fixed)
 
     def test_accelerated_batch_matches_direct_pricing(self):
-        rng = np.random.default_rng(11)
-        params = make_params(n=2, steps=5, theta=0.3)
-        trades = rng.normal(size=(6, 2))
+        # the batch prices every path with one matrix product; rebuild the
+        # seeded paths and price each one by the direct per-time sum
+        params = make_params(n=2, steps=5, theta=0.3, s0=2.0)
+        trades = np.random.default_rng(11).normal(size=(6, 2))
         strategies = list(trades.T)
-        fixed = realized_costs(params, strategies, np.zeros(6))
-        paths = rng.normal(size=(4, 6))
-        batch = _accel.path_costs(paths, trades, fixed)
+        batch = simulate_paths(params, strategies, 4, 12)
+        stds = np.sqrt(np.diff(params.phi_at_grid(), prepend=0.0))
+        increments = np.random.default_rng(12).standard_normal((4, 6)) * stds
+        paths = params.s0 + np.cumsum(increments, axis=1)
         for p in range(4):
             direct = realized_costs(params, strategies, paths[p])
-            np.testing.assert_allclose(batch[p], direct, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(batch[p].costs, direct, rtol=1e-12, atol=1e-12)
 
     def test_cost_sample_readonly_and_validated(self):
         sample = CostSample(costs=[1.0, 2.0], seed=0, index=1)

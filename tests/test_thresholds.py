@@ -138,6 +138,19 @@ class TestCriticalThetaW:
         assert loose.converged
         assert abs(loose.theta_star - loose.theta_star_coarse) <= 1e-2
 
+    def test_sub_ulp_resolution_ends_at_adjacent_doubles(self):
+        # no bracket is narrower than two adjacent doubles, so the bisection
+        # must stop there instead of looping on a midpoint that equals an end
+        result = critical_theta_w(5, 0.0, resolution=1e-300)
+        lo, hi = result.bracket
+        assert 0.0 < lo < hi
+        assert np.nextafter(lo, np.inf) == hi
+        probe = _BaseVectorProbe(
+            "w", 1, 5, 0.0, ExponentialKernel(1.0), BachelierVariance(1.0)
+        )
+        assert oscillation_report(probe.vector_at(lo)).oscillating
+        assert not oscillation_report(probe.vector_at(hi)).oscillating
+
 
 class TestSweep:
     def test_single_point_matches_direct_call(self):
