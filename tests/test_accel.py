@@ -1,93 +1,56 @@
-"""Backend parity and selection for the jitted kernels."""
-
-import math
-import subprocess
-import sys
+"""The two vectorised steps: the decay matrix and the batch path-cost product."""
 
 import numpy as np
 import pytest
 
-from impact_game import _accel
-
-HAVE_NUMBA = _accel._decay_matrix_numba is not None
-
-
-def run_python(code, env_overrides):
-    import os
-
-    env = dict(os.environ)
-    env.update(env_overrides)
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
+from impact_game import (
+    BachelierVariance,
+    GameParams,
+    PowerLawKernel,
+    TimeGrid,
+    build_matrices,
+    realized_costs,
+    simulate_paths,
+)
 
 
 class TestDecayMatrix:
-    def test_exponential_entries(self):
-        times = np.array([0.0, 0.5, 2.0])
-        matrix = _accel.decay_matrix(times, _accel.KIND_EXPONENTIAL, 1.3)
-        assert matrix.shape == (3, 3)
-        np.testing.assert_array_equal(np.diag(matrix), np.ones(3))
-        assert matrix[0, 1] == pytest.approx(math.exp(-1.3 * 0.5), rel=1e-15)
-        assert matrix[2, 0] == pytest.approx(math.exp(-1.3 * 2.0), rel=1e-15)
-
     def test_power_entries(self):
-        times = np.array([0.0, 1.0, 3.0])
-        matrix = _accel.decay_matrix(times, _accel.KIND_POWER, 2.0)
-        assert matrix[0, 1] == pytest.approx(0.25, rel=1e-15)
-        assert matrix[0, 2] == pytest.approx(1.0 / 16.0, rel=1e-15)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend not importable")
-    def test_backends_agree(self):
-        rng = np.random.default_rng(31)
-        times = np.sort(rng.uniform(0.0, 3.0, 40))
-        for kind, param in [(_accel.KIND_EXPONENTIAL, 0.7), (_accel.KIND_POWER, 1.8)]:
-            fast = _accel._decay_matrix_numba(times, kind, param)
-            plain = _accel._decay_matrix_numpy(times, kind, param)
-            np.testing.assert_allclose(fast, plain, rtol=1e-14, atol=0.0)
-            np.testing.assert_array_equal(fast, fast.T)
+        # with gamma = theta = 0 the full matrix is the decay matrix G(|t_k - t_l|)
+        # and Gtilde is its strict lower triangle plus half its diagonal
+        params = GameParams(
+            n=1,
+            gamma=0.0,
+            theta=0.0,
+            kernel=PowerLawKernel(2.0),
+            variance=BachelierVariance(1.0),
+            grid=TimeGrid(np.array([0.0, 1.0, 3.0])),
+        )
+        mats = build_matrices(params)
+        assert mats.full[1, 0] == pytest.approx(0.25, rel=1e-15)
+        assert mats.full[2, 0] == pytest.approx(1.0 / 16.0, rel=1e-15)
+        expected_tilde = np.array(
+            [[0.5, 0.0, 0.0], [0.25, 0.5, 0.0], [1.0 / 16.0, 1.0 / 9.0, 0.5]]
+        )
+        np.testing.assert_allclose(mats.tilde, expected_tilde, rtol=1e-15, atol=0.0)
 
 
 class TestPathCosts:
     def test_formula(self):
-        paths = np.array([[1.0, 2.0], [0.0, -1.0]])
-        trades = np.array([[1.0, 0.5], [2.0, -1.0]])
-        fixed = np.array([10.0, 20.0])
-        out = _accel.path_costs(paths, trades, fixed)
-        np.testing.assert_allclose(out, fixed[None, :] - paths @ trades, rtol=1e-14)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend not importable")
-    def test_backends_agree(self):
-        rng = np.random.default_rng(32)
-        paths = rng.normal(size=(50, 12))
-        trades = rng.normal(size=(12, 4))
-        fixed = rng.normal(size=4)
-        fast = _accel._path_costs_numba(paths, trades, fixed)
-        plain = _accel._path_costs_numpy(paths, trades, fixed)
-        np.testing.assert_allclose(fast, plain, rtol=1e-12, atol=1e-12)
-
-
-class TestBackendSelection:
-    CODE = "import impact_game; print(impact_game.BACKEND)"
-
-    def test_numpy_can_be_forced(self):
-        result = run_python(self.CODE, {"IMPACT_GAME_BACKEND": "numpy"})
-        assert result.returncode == 0
-        assert result.stdout.strip() == "numpy"
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend not importable")
-    def test_numba_can_be_required(self):
-        result = run_python(self.CODE, {"IMPACT_GAME_BACKEND": "numba"})
-        assert result.returncode == 0
-        assert result.stdout.strip() == "numba"
-
-    def test_unknown_backend_fails_the_import(self):
-        result = run_python(self.CODE, {"IMPACT_GAME_BACKEND": "fortran"})
-        assert result.returncode != 0
-        assert "IMPACT_GAME_BACKEND" in result.stderr
-
-    def test_default_backend_is_exposed(self):
-        assert _accel.BACKEND in ("numba", "numpy")
-        from impact_game import BACKEND
-
-        assert BACKEND == _accel.BACKEND
+        # batch cost = cost on the zero path minus the path dotted with the trades
+        params = GameParams(
+            n=2,
+            gamma=0.5,
+            theta=0.2,
+            kernel=PowerLawKernel(0.8),
+            variance=BachelierVariance(1.0),
+            grid=TimeGrid.equidistant(3),
+            s0=1.5,
+        )
+        trades = np.array([[1.0, 0.5], [2.0, -1.0], [0.0, 0.5], [-3.0, 0.0]])
+        strategies = list(trades.T)
+        fixed = realized_costs(params, strategies, np.zeros(4))
+        stds = np.sqrt(np.diff(params.phi_at_grid(), prepend=0.0))
+        paths = params.s0 + np.cumsum(np.random.default_rng(5).standard_normal((3, 4)) * stds, axis=1)
+        costs = np.array([sample.costs for sample in simulate_paths(params, strategies, 3, 5)])
+        np.testing.assert_allclose(costs, fixed[None, :] - paths @ trades, rtol=1e-14, atol=1e-14)
