@@ -34,7 +34,7 @@ from .market_model import (
     PowerLawKernel,
     TimeGrid,
 )
-from .simulation import validate_cara, validate_moments
+from .simulation import _cara_reports, _moment_reports, _sample
 from .thresholds import sweep
 
 __all__ = ["main", "cmd_equilibrium", "cmd_thresholds", "cmd_infinite", "cmd_montecarlo"]
@@ -265,8 +265,10 @@ def cmd_montecarlo(args) -> int:
     inventories = _parse_inventories(args.inventories, params.n)
     solution = nash_equilibrium(params, inventories)
     strategies = list(solution.strategies)
-    moments = validate_moments(params, strategies, args.count, args.seed)
-    cara = validate_cara(params, strategies, args.count, args.seed)
+    # one sample feeds both checks; the CLI's variance is always Bachelier
+    sample = _sample(params, strategies, args.count, args.seed)
+    moments = _moment_reports(*sample)
+    cara = _cara_reports(params.gamma, *sample)
     report = {
         "n": params.n,
         "N": params.grid.steps,

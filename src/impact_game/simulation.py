@@ -7,8 +7,18 @@ The realized execution cost of agent i along one unaffected price path is
 
 with S_impacted_k = S_unaffected_k - sum_{l<k} G(t_k - t_l) tot_l and
 tot = sum_j xi_j.  This is affine in the path, cost_i = A_i - xi_i . S0,
-so a batch of paths reduces to one matrix product; A_i is obtained by
-pricing a zero path.
+where A_i is obtained by pricing a zero path.
+
+A path is S0_k = s0 + sum_{j<=k} sd_j Z_j with independent standard
+normals Z and increment deviations sd, so summing by parts
+
+    xi_i . S0 = s0 sum_k xi_{i,k} + Z . W_i,   W_{j,i} = sd_j sum_{k>=j} xi_{i,k},
+
+and a batch of paths is priced by one product Z @ W without forming the
+paths.  One call draws its sample once from a single seeded generator,
+in row chunks of at most _CHUNK_VALUES normals; chunked draws equal one
+large draw bit for bit, so only the (count, n) cost matrix grows with
+count, and it is capped at _MAX_SAMPLE_COSTS entries.
 
 Closed-form targets for the mean come from the gamma = 0 kernel matrices;
 the variance target is xi' Phi xi with Phi_{kl} = phi(t_k ^ t_l), which
@@ -59,6 +69,12 @@ __all__ = [
 
 # exponents beyond this switch the utility comparison to log space
 _EXP_GUARD = 500.0
+
+# normals drawn per chunk (8 MB of float64); memory grows with neither count nor N
+_CHUNK_VALUES = 2**20
+
+# largest count * n cost matrix one sample may hold (0.8 GB of float64)
+_MAX_SAMPLE_COSTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -174,14 +190,24 @@ def _cost_matrix(
     """Validated (count, seed, trades) and the realized costs of `count` paths, shape (count, n)."""
     count = _integer_at_least(count, 1, "count")
     seed = _integer_at_least(seed, 0, "seed")
+    if count * params.n > _MAX_SAMPLE_COSTS:
+        raise ParameterError(
+            f"count * n = {count * params.n} costs exceeds the sample limit of {_MAX_SAMPLE_COSTS}"
+        )
     trades = _trades_matrix(params, strategies)
-    fixed = realized_costs(params, list(trades.T), np.zeros(trades.shape[0]))
-    stds = _increment_stds(params)
+    m, n = trades.shape
+    fixed = realized_costs(params, list(trades.T), np.zeros(m))
+    # cost[p] = base - Z[p] @ weights, the summation by parts of the module docstring
+    weights = _increment_stds(params)[:, None] * np.cumsum(trades[::-1], axis=0)[::-1]
+    base = fixed - params.s0 * trades.sum(axis=0)
     rng = np.random.default_rng(seed)
-    increments = rng.standard_normal((count, trades.shape[0])) * stds[None, :]
-    paths = params.s0 + np.cumsum(increments, axis=1)
-    # cost[p, i] = fixed[i] - sum_k paths[p, k] * trades[k, i]
-    return count, seed, trades, fixed[None, :] - paths @ trades
+    costs = np.empty((count, n))
+    rows = max(1, _CHUNK_VALUES // m)
+    for start in range(0, count, rows):
+        chunk = costs[start:start + rows]
+        np.matmul(rng.standard_normal((chunk.shape[0], m)), weights, out=chunk)
+        np.subtract(base, chunk, out=chunk)
+    return count, seed, trades, costs
 
 
 def simulate_paths(params: GameParams, strategies: Sequence, count: int, seed: int) -> list[CostSample]:
@@ -270,21 +296,24 @@ def _z_score(difference: float, se: float) -> float:
 
 
 def _mean(values: np.ndarray) -> float:
-    return math.fsum(values) / values.size
+    return math.fsum(values.tolist()) / values.size
 
 
-def validate_moments(params: GameParams, strategies: Sequence, count: int, seed: int) -> list[MomentReport]:
-    """Compare sample cost moments against their closed forms, one report per agent.
-
-    z-scores are (sample - target) / standard error; the variance check uses
-    the asymptotic standard error sqrt((m4 - m2^2) / count) built from the
-    sample's central moments.
-    """
-    count, seed, trades, costs = _cost_matrix(params, strategies, count, seed)
+def _sample(
+    params: GameParams, strategies: Sequence, count, seed
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """One drawn sample: validated count, the (count, n) costs and their closed-form means and variances."""
+    count, _, trades, costs = _cost_matrix(params, strategies, count, seed)
     target_means, target_variances = _moment_targets(params, trades)
+    return count, costs, target_means, target_variances
 
+
+def _moment_reports(
+    count: int, costs: np.ndarray, target_means: np.ndarray, target_variances: np.ndarray
+) -> list[MomentReport]:
+    """Moment reports of one drawn sample, one per agent (column of costs)."""
     reports = []
-    for i in range(trades.shape[1]):
+    for i in range(costs.shape[1]):
         c = costs[:, i]
         mean = _mean(c)
         centered = c - mean
@@ -308,6 +337,16 @@ def validate_moments(params: GameParams, strategies: Sequence, count: int, seed:
             )
         )
     return reports
+
+
+def validate_moments(params: GameParams, strategies: Sequence, count: int, seed: int) -> list[MomentReport]:
+    """Compare sample cost moments against their closed forms, one report per agent.
+
+    z-scores are (sample - target) / standard error; the variance check uses
+    the asymptotic standard error sqrt((m4 - m2^2) / count) built from the
+    sample's central moments.
+    """
+    return _moment_reports(*_sample(params, strategies, count, seed))
 
 
 def _cara_report(agent: int, count: int, gamma: float, c: np.ndarray, mean: float, var: float) -> CaraReport:
@@ -346,6 +385,16 @@ def _cara_report(agent: int, count: int, gamma: float, c: np.ndarray, mean: floa
     )
 
 
+def _cara_reports(
+    gamma: float, count: int, costs: np.ndarray, target_means: np.ndarray, target_variances: np.ndarray
+) -> list[CaraReport]:
+    """Utility reports of one drawn sample, one per agent (column of costs)."""
+    return [
+        _cara_report(i, count, gamma, costs[:, i], float(target_means[i]), float(target_variances[i]))
+        for i in range(costs.shape[1])
+    ]
+
+
 def validate_cara(params: GameParams, strategies: Sequence, count: int, seed: int) -> list[CaraReport]:
     """Compare sample exponential utility of -cost against its Gaussian closed form.
 
@@ -356,12 +405,4 @@ def validate_cara(params: GameParams, strategies: Sequence, count: int, seed: in
     """
     if not isinstance(params.variance, BachelierVariance):
         raise ParameterError("the utility comparison requires a Bachelier variance function")
-    count, seed, trades, costs = _cost_matrix(params, strategies, count, seed)
-    target_means, target_variances = _moment_targets(params, trades)
-    return [
-        _cara_report(
-            i, count, params.gamma, costs[:, i],
-            float(target_means[i]), float(target_variances[i]),
-        )
-        for i in range(trades.shape[1])
-    ]
+    return _cara_reports(params.gamma, *_sample(params, strategies, count, seed))

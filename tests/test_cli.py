@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from impact_game import simulation
 from impact_game.cli import main
 
 ALPHA_N1_UNIT = 0.561952002379033
@@ -232,6 +233,27 @@ class TestMonteCarlo:
         code, _, err = run(capsys, self.ARGS + ["--inventories", "1,2,3"])
         assert code == 2
         assert "error" in err
+
+    def test_oversized_sample_exits_2(self, capsys):
+        # rejected before anything of that size is allocated
+        code, out, err = run(capsys, self.ARGS + ["--count", "1000000000000"])
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+        assert str(simulation._MAX_SAMPLE_COSTS) in err
+
+    def test_one_call_draws_one_sample(self, capsys, monkeypatch):
+        # every sample prices the zero path once through realized_costs
+        calls = []
+        reference = simulation.realized_costs
+
+        def counting(*args):
+            calls.append(args)
+            return reference(*args)
+
+        monkeypatch.setattr(simulation, "realized_costs", counting)
+        assert run(capsys, self.ARGS)[0] == 0
+        assert len(calls) == 1
 
 
 class TestHelp:

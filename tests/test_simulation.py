@@ -1,5 +1,7 @@
 """Monte Carlo cost machinery: paths, realized costs, moment and utility checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from impact_game import (
     optimality_gap,
     realized_costs,
     simulate_paths,
+    simulation,
     validate_cara,
     validate_moments,
 )
@@ -181,6 +184,47 @@ class TestSimulatePaths:
         for p in range(4):
             direct = realized_costs(params, strategies, paths[p])
             np.testing.assert_allclose(batch[p].costs, direct, rtol=1e-12, atol=1e-12)
+
+    def test_chunk_boundaries_continue_one_stream(self, monkeypatch):
+        # 6 grid values per path and 18 per chunk: 10 paths span 4 chunks of 3, 3, 3, 1 rows
+        params = make_params(n=2, steps=5, theta=0.3, s0=-1.5)
+        trades = np.random.default_rng(13).normal(size=(6, 2))
+        strategies = list(trades.T)
+        monkeypatch.setattr(simulation, "_CHUNK_VALUES", 18)
+        count, seed, rows = 10, 14, 3
+
+        whole = np.random.default_rng(seed).standard_normal((count, 6))
+        rng = np.random.default_rng(seed)
+        chunks = [rng.standard_normal((min(rows, count - s), 6)) for s in range(0, count, rows)]
+        assert len(chunks) == 4
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+        batch = simulate_paths(params, strategies, count, seed)
+        stds = np.sqrt(np.diff(params.phi_at_grid(), prepend=0.0))
+        paths = params.s0 + np.cumsum(whole * stds, axis=1)
+        for p in (2, 3, 5, 6, 8, 9):
+            direct = realized_costs(params, strategies, paths[p])
+            np.testing.assert_allclose(batch[p].costs, direct, rtol=1e-12, atol=0.0)
+
+    def test_sample_memory_does_not_grow_with_count_times_steps(self):
+        # the parent drew and summed the whole (count, N + 1) path matrix: about 80 MB here
+        params = make_params(n=2, steps=100)
+        eq = nash_equilibrium(params, [1.0, 0.5])
+        tracemalloc.start()
+        try:
+            validate_moments(params, eq.strategies, 50_000, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_oversized_sample_is_rejected(self, monkeypatch):
+        params = make_params()
+        eq = nash_equilibrium(params, [1.0, 0.5])
+        monkeypatch.setattr(simulation, "_MAX_SAMPLE_COSTS", 20)
+        assert len(simulate_paths(params, eq.strategies, 10, 1)) == 10
+        with pytest.raises(ParameterError, match="limit of 20"):
+            simulate_paths(params, eq.strategies, 11, 1)
 
     def test_cost_sample_readonly_and_validated(self):
         sample = CostSample(costs=[1.0, 2.0], seed=0, index=1)
