@@ -186,6 +186,7 @@ def cmd_thresholds(args) -> int:
     header = [
         "n", "N", "gamma", "which", "theta_star",
         "bracket_lo", "bracket_hi", "evaluations", "converged",
+        "theta_star_coarse", "error",
     ]
     rows = []
     for r in results:
@@ -198,7 +199,7 @@ def cmd_thresholds(args) -> int:
             [
                 _fmt(r.n), _fmt(r.steps), _fmt(r.gamma), r.which, _fmt(r.theta_star),
                 _fmt(r.bracket[0]), _fmt(r.bracket[1]), _fmt(r.evaluations),
-                _fmt(r.converged),
+                _fmt(r.converged), _fmt(r.theta_star_coarse), _fmt(r.error),
             ]
         )
     _write_rows(args.out, header, rows)

@@ -78,17 +78,33 @@ class KernelMatrices:
         if self.full.shape != self.tilde.shape:
             raise ParameterError("full and tilde must have matching shapes")
 
+    @classmethod
+    def _adopt(cls, full: np.ndarray, tilde: np.ndarray) -> "KernelMatrices":
+        """Wrap freshly built square float arrays without copying; they turn read-only."""
+        matrices = object.__new__(cls)
+        for name, arr in (("full", full), ("tilde", tilde)):
+            arr.setflags(write=False)
+            object.__setattr__(matrices, name, arr)
+        return matrices
+
 
 def build_matrices(params: GameParams) -> KernelMatrices:
-    """Assemble Gamma^{gamma,theta} and Gtilde for one game instance."""
+    """Assemble Gamma^{gamma,theta} and Gtilde for one game instance.
+
+    Each matrix is built in its own buffer and handed over read-only, so the
+    peak stays near the three (N+1)^2 arrays decay, full and tilde.
+    """
     # TimeGrid guarantees finite, nonnegative lags, so the kernel is evaluated directly
     times = params.grid.times
-    decay = params.kernel.eval(np.abs(times[:, None] - times[None, :]))
+    decay = np.asarray(params.kernel.eval(np.abs(times[:, None] - times[None, :])), dtype=float)
     phi = params.phi_at_grid()
-    full = decay + params.gamma * np.minimum.outer(phi, phi)
+    full = np.minimum.outer(phi, phi)
+    full *= params.gamma
+    full += decay
     np.fill_diagonal(full, full.diagonal() + 2.0 * params.theta)
-    tilde = np.tril(decay, -1) + np.diag(0.5 * np.diag(decay))
-    return KernelMatrices(full=full, tilde=tilde)
+    tilde = np.tril(decay)
+    np.fill_diagonal(tilde, 0.5 * tilde.diagonal())
+    return KernelMatrices._adopt(full, tilde)
 
 
 def _condition_estimate(matrix: np.ndarray, lu) -> float:

@@ -10,6 +10,15 @@ level by bisection on theta, for either base vector:
   * ``critical_theta_w``: the deviation vector w, whose threshold stays
     near 1/4 regardless of n.
 
+Each search runs on three grids, coarse to fine: N/4 and N/2 steps by a
+cold bisection, then the requested N steps from the Richardson guess
+theta_{N/2} + (theta_{N/2} - theta_{N/4}) / 2.  The full-grid bisection
+probes the same lattice of theta values as a cold one, so its result is
+the same; it only needs a few probes near the guess.  ``evaluations``
+counts the probes on all three grids.  Each probe is one dense LU solve
+with the condition audit of ``finite_game``, so an ill-conditioned probe
+warns with IllConditionedWarning.
+
 ``sweep`` runs a batch of searches across parameter points, optionally in
 threads (the inner linear algebra releases the GIL).
 """
@@ -22,10 +31,9 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericalError, ParameterError
-from .finite_game import build_matrices
+from .finite_game import _solve_base_vector, build_matrices
 from .market_model import (
     BachelierVariance,
     DecayKernel,
@@ -88,9 +96,10 @@ class ThresholdResult:
 
     theta_star is the midpoint of the final bisection bracket; bracket is the
     witness pair (last oscillating theta, first non-oscillating theta).  The
-    converged flag compares against a coarser-grid rerun (theta_star_coarse):
-    True when the two agree within twice the resolution.  A failed point in a
-    sweep carries the message in ``error`` and NaNs elsewhere.
+    converged flag compares against the half-steps search (theta_star_coarse):
+    True when the two agree within twice the resolution.  evaluations counts
+    the probe solves on all grids searched.  A failed point in a sweep
+    carries the message in ``error`` and NaNs elsewhere.
     """
 
     theta_star: float
@@ -138,26 +147,108 @@ class _BaseVectorProbe:
     def vector_at(self, theta: float) -> np.ndarray:
         self.evaluations += 1
         matrix = self.base.copy()
-        idx = np.arange(matrix.shape[0])
-        matrix[idx, idx] += 2.0 * theta
-        ones = np.ones(matrix.shape[0])
-        try:
-            solution = sla.solve(matrix, ones)
-        except sla.LinAlgError as exc:
-            raise NumericalError(f"base-vector solve failed at theta = {theta}: {exc}") from exc
-        total = solution.sum()
-        if total == 0.0 or not np.isfinite(total):
-            raise NumericalError(f"base-vector normalization failed at theta = {theta}")
-        return solution / total
+        matrix.flat[:: matrix.shape[0] + 1] += 2.0 * theta
+        vector, _ = _solve_base_vector(matrix, f"the base vector at theta = {theta}")
+        return vector
 
     def monotone_at(self, theta: float) -> bool:
         return not oscillation_report(self.vector_at(theta)).oscillating
 
 
-def _search(probe: _BaseVectorProbe, upper_start: float, resolution: float):
-    """Bisect the oscillating/monotone boundary; returns (theta*, bracket)."""
+def _halvings(width: float, resolution: float) -> int:
+    """Number of bisection steps that bring `width` to at most `resolution`."""
+    count = 0
+    while width > resolution:
+        width *= 0.5
+        count += 1
+    return count
+
+
+def _warm_search(probe: _BaseVectorProbe, upper_start: float, resolution: float, guess: float):
+    """The cold search's bracket found from a guess, or None where its lattice is inexact.
+
+    Past its theta = 0 probe the cold search doubles hi from u = upper_start
+    until the vector is monotone, which leaves it bisecting [0, u] or
+    [u 2^(m-1), u 2^m] (m <= 4).  After k halvings its bracket ends lie on
+    the lattice bottom + j W / 2^k, whose points are exact doubles when
+    u 2^(k+1) <= 2^53.  This search probes only those points: it snaps the
+    guess to a lattice cell, expands in doubling index steps until one end
+    oscillates and the other is monotone, moves to the neighbouring doubling
+    interval when the expansion runs off an end, and bisects on indices.
+    Wherever the classification is monotone in theta, the bracket equals the
+    cold one bit for bit.  The caller has seen theta = 0 oscillate.
+    """
+    if not float(upper_start).is_integer() or (
+        upper_start * 2.0 ** (_halvings(8.0 * upper_start, resolution) + 1) > 2.0**53
+    ):
+        return None
+    known = {0.0: False}
+
+    def monotone(theta: float) -> bool:
+        if theta not in known:
+            known[theta] = probe.monotone_at(theta)
+        return known[theta]
+
+    m = 0
+    while m < 4 and upper_start * 2.0**m < guess:
+        m += 1
+    while True:
+        top = upper_start * 2.0**m
+        bottom = 0.0 if m == 0 else 0.5 * top
+        last = 2 ** _halvings(top - bottom, resolution)
+        spacing = (top - bottom) / last
+        j = min(max(int((guess - bottom) // spacing), 0), last - 1)
+        step = 1
+        if monotone(bottom + j * spacing):
+            hi = j
+            while hi > 0:
+                lo = max(hi - step, 0)
+                if not monotone(bottom + lo * spacing):
+                    break
+                hi, step = lo, 2 * step
+            else:
+                m, guess = m - 1, bottom  # the boundary lies in the doubling interval below
+                continue
+        else:
+            lo = j
+            while lo < last:
+                hi = min(lo + step, last)
+                if monotone(bottom + hi * spacing):
+                    break
+                lo, step = hi, 2 * step
+            else:
+                if m == 4:
+                    raise NumericalError(
+                        f"no monotone base vector found for theta up to {16.0 * upper_start}"
+                    )
+                m, guess = m + 1, top  # the boundary lies in the doubling interval above
+                continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if monotone(bottom + mid * spacing):
+                hi = mid
+            else:
+                lo = mid
+        lo_theta, hi_theta = bottom + lo * spacing, bottom + hi * spacing
+        return 0.5 * (lo_theta + hi_theta), (lo_theta, hi_theta)
+
+
+def _search(
+    probe: _BaseVectorProbe, upper_start: float, resolution: float, guess: float | None = None
+):
+    """Bisect the oscillating/monotone boundary; returns (theta*, bracket).
+
+    The cold search (no guess) doubles an upper end from upper_start until
+    the vector is monotone, then bisects to the resolution.  With a guess in
+    (0, 16 upper_start] the bisection runs warm on the cold search's lattice
+    and returns the same result with fewer probes.
+    """
     if probe.monotone_at(0.0):
         return 0.0, (0.0, 0.0)
+    if guess is not None:
+        found = _warm_search(probe, upper_start, resolution, guess)
+        if found is not None:
+            return found
     lo = 0.0
     hi = upper_start
     cap = 16.0 * upper_start
@@ -188,7 +279,13 @@ def _critical_theta(
     variance: VarianceFunction | None,
     resolution: float,
 ) -> ThresholdResult:
-    """Bisection on the given grid plus its half-steps rerun, for either base vector."""
+    """Quarter-, half- and full-grid searches, coarse to fine, for either base vector.
+
+    The full-grid search starts from the Richardson guess
+    theta_half + (theta_half - theta_quarter) / 2, since theta* drifts
+    linearly in the step size; it runs cold when either coarse threshold is
+    0 or the quarter grid equals the half grid.
+    """
     n = _integer_at_least(n, 1, "n")
     steps = _integer_at_least(steps, 1, "steps")
     gamma = _nonnegative_scalar(gamma, "gamma")
@@ -197,14 +294,28 @@ def _critical_theta(
     variance = BachelierVariance(1.0) if variance is None else variance
     upper = max(1.0, float(n))
 
-    probe = _BaseVectorProbe(which, n, steps, gamma, kernel, variance)
-    theta_star, bracket = _search(probe, upper, resolution)
-    coarse_probe = _BaseVectorProbe(which, n, max(1, steps // 2), gamma, kernel, variance)
-    theta_coarse, _ = _search(coarse_probe, upper, resolution)
+    probe, coarse_probe, quarter_probe = (
+        _BaseVectorProbe(which, n, max(1, steps // d), gamma, kernel, variance) for d in (1, 2, 4)
+    )
+    theta_quarter = 0.0
+    if len(quarter_probe.base) != len(coarse_probe.base):
+        try:
+            theta_quarter, _ = _search(quarter_probe, upper, resolution)
+        except NumericalError:
+            pass  # no guess: the full grid searches cold
+    try:
+        theta_coarse, _ = _search(coarse_probe, upper, resolution)
+    except NumericalError:
+        _search(probe, upper, resolution)  # the full grid's own failure takes precedence
+        raise
+    guess = theta_coarse + 0.5 * (theta_coarse - theta_quarter)
+    if theta_quarter == 0.0 or theta_coarse == 0.0 or not 0.0 < guess <= 16.0 * upper:
+        guess = None
+    theta_star, bracket = _search(probe, upper, resolution, guess)
     return ThresholdResult(
         theta_star=theta_star,
         bracket=bracket,
-        evaluations=probe.evaluations + coarse_probe.evaluations,
+        evaluations=probe.evaluations + coarse_probe.evaluations + quarter_probe.evaluations,
         steps=steps,
         gamma=gamma,
         which=which,  # type: ignore[arg-type]
@@ -224,9 +335,10 @@ def critical_theta_v(
 ) -> ThresholdResult:
     """Critical theta above which the symmetric base vector stops oscillating.
 
-    Runs on the equidistant grid with the given number of trading steps and
-    repeats on a grid with half the steps; the result is flagged converged
-    when the two thresholds agree within twice the resolution.
+    Runs on the equidistant grid with the given number of trading steps,
+    warm-started from searches with a quarter and half the steps; the result
+    is flagged converged when the full- and half-steps thresholds agree
+    within twice the resolution.
     """
     return _critical_theta("v", n, steps, gamma, kernel, variance, resolution)
 
@@ -241,7 +353,7 @@ def critical_theta_w(
     """Critical theta above which the deviation base vector stops oscillating.
 
     The deviation vector does not depend on the number of agents, so none is
-    taken; convergence is checked against a half-steps rerun as for
+    taken; the search and its convergence check run as for
     ``critical_theta_v``.
     """
     return _critical_theta("w", 1, steps, gamma, kernel, variance, resolution)

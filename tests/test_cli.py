@@ -93,6 +93,7 @@ class TestThresholds:
         assert header == [
             "n", "N", "gamma", "which", "theta_star",
             "bracket_lo", "bracket_hi", "evaluations", "converged",
+            "theta_star_coarse", "error",
         ]
         assert len(rows) == 4
         assert {row[3] for row in rows} == {"v"}

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from impact_game import (
     ExponentialKernel,
     GameParams,
     IllConditionedWarning,
+    KernelMatrices,
     NumericalError,
     ParameterError,
     PowerLawKernel,
@@ -147,6 +149,32 @@ class TestBuildMatrices:
                     continue
                 for matrix in quartet:
                     assert x @ matrix @ x > 0.0
+
+    def test_built_once_read_only(self):
+        params = make_params(grid=TimeGrid.equidistant(1000))
+        build_matrices(params)  # first call pays one-time allocations
+        tracemalloc.start()
+        try:
+            mats = build_matrices(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (mats.full.nbytes + mats.tilde.nbytes)
+        for arr in (mats.full, mats.tilde):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_user_built_matrices_are_copied(self):
+        full = np.eye(3) * 2.0
+        tilde = np.tril(np.ones((3, 3)))
+        mats = KernelMatrices(full=full, tilde=tilde)
+        full[0, 0] = 7.0
+        tilde[1, 0] = 7.0
+        assert mats.full[0, 0] == 2.0
+        assert mats.tilde[1, 0] == 1.0
+        assert not np.shares_memory(mats.full, full)
+        assert not mats.full.flags.writeable
 
 
 class TestBaseVectors:
@@ -477,3 +505,17 @@ def test_import_leaves_numba_and_sparse_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs over a second of import time and nothing here needs it
+    code = "import sys, impact_game; print('scipy.signal' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(impact_game.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from impact_game import (
     BachelierVariance,
     ExponentialKernel,
+    NumericalError,
     ParameterError,
     PowerLawKernel,
     critical_theta_infinite,
@@ -16,7 +17,8 @@ from impact_game import (
     oscillation_report,
     sweep,
 )
-from impact_game.thresholds import _BaseVectorProbe
+from impact_game import thresholds
+from impact_game.thresholds import _BaseVectorProbe, _search
 
 
 class TestOscillationReport:
@@ -194,3 +196,88 @@ class TestSweep:
     def test_validation(self):
         with pytest.raises(ParameterError):
             sweep([{"n": 2, "steps": 40, "gamma": 0.0}], which="x")
+
+
+class _StepProbe:
+    """Stand-in probe that turns monotone exactly at `boundary`."""
+
+    def __init__(self, boundary):
+        self.boundary = boundary
+        self.evaluations = 0
+
+    def monotone_at(self, theta):
+        self.evaluations += 1
+        return theta >= self.boundary
+
+
+def _outcome(probe, upper, resolution, guess=None):
+    try:
+        return _search(probe, upper, resolution, guess)
+    except NumericalError as exc:
+        return str(exc)
+
+
+class TestWarmSearch:
+    """A guess changes how many probes the search spends, never what it returns."""
+
+    @pytest.mark.parametrize("resolution", [1e-4, 5e-3])
+    @pytest.mark.parametrize("which", ["v", "w"])
+    @pytest.mark.parametrize(
+        "kernel", [ExponentialKernel(1.0), PowerLawKernel(1.5)], ids=["exp", "power"]
+    )
+    def test_matches_cold_search(self, kernel, which, resolution):
+        n = 3 if which == "v" else 1
+        upper = float(n)
+
+        def probe(steps):
+            return _BaseVectorProbe(which, n, steps, 0.5, kernel, BachelierVariance(1.0))
+
+        cold = _search(probe(80), upper, resolution)
+        theta = cold[0]
+        half = _search(probe(40), upper, resolution)[0]
+        quarter = _search(probe(20), upper, resolution)[0]
+        richardson = half + 0.5 * (half - quarter)
+        guesses = [
+            richardson, 0.5 * theta, 3.0 * theta,
+            theta + 7 * resolution, theta - 7 * resolution,
+            1.5 * upper,  # beyond the doubling interval [0, upper] the cold search ends in
+        ]
+        for guess in guesses:
+            assert _search(probe(80), upper, resolution, guess) == cold, guess
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        boundary=st.floats(0.0, 20.0),
+        guess=st.floats(1e-6, 16.0),
+        resolution=st.sampled_from([1e-12, 1e-4, 5e-3, 0.3, 3.0]),
+        upper=st.sampled_from([1.0, 2.0, 3.0, 7.0]),
+    )
+    def test_matches_cold_search_on_every_doubling_interval(
+        self, boundary, guess, resolution, upper
+    ):
+        # a step classification places the boundary in any doubling interval,
+        # or past the cap where both searches must fail alike
+        cold = _outcome(_StepProbe(boundary * upper), upper, resolution)
+        warm = _outcome(_StepProbe(boundary * upper), upper, resolution, guess * upper)
+        assert warm == cold
+
+    def test_power_law_search_spends_few_full_grid_probes(self, monkeypatch):
+        sizes = []
+        vector_at = _BaseVectorProbe.vector_at
+
+        def counted(self, theta):
+            sizes.append(self.base.shape[0])
+            return vector_at(self, theta)
+
+        monkeypatch.setattr(thresholds._BaseVectorProbe, "vector_at", counted)
+        result = critical_theta_v(3, 400, 0.5, kernel=PowerLawKernel(1.0))
+        assert result.evaluations == len(sizes)
+        assert sizes.count(401) <= 6
+
+    def test_full_grid_error_takes_precedence(self, monkeypatch):
+        def fail(self, theta):
+            raise NumericalError(f"no solve on {len(self.base)} points")
+
+        monkeypatch.setattr(thresholds._BaseVectorProbe, "monotone_at", fail)
+        with pytest.raises(NumericalError, match="on 41 points"):
+            critical_theta_w(40, 0.0)
