@@ -56,7 +56,7 @@ from .market_model import (
 )
 from .simulation import (
     CaraReport,
-    CostSample,
+    CostBatch,
     MomentReport,
     PricePath,
     impacted_path,
@@ -122,7 +122,7 @@ __all__ = [
     "critical_theta_w",
     "sweep",
     "PricePath",
-    "CostSample",
+    "CostBatch",
     "MomentReport",
     "CaraReport",
     "impacted_path",

@@ -175,9 +175,7 @@ def w_closed_form(steps: int, rho: float) -> np.ndarray:
     All entries before the final time equal (1 - e^{-rho/N}) / (N (1 - e^{-rho/N}) + 1)
     and the final entry equals 1 / (N (1 - e^{-rho/N}) + 1).
     """
-    steps = int(steps)
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
+    steps = _integer_at_least(steps, 1, "steps")
     rho = _positive_scalar(rho, "rho")
     r = -math.expm1(-rho / steps)  # 1 - e^{-rho/N}
     denom = steps * r + 1.0

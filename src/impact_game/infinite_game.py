@@ -13,7 +13,9 @@ critical transaction-cost level theta = (n - 1)/4; zero-sum inventory
 profiles work for every theta >= 0.
 
 Sequences are truncated once the discarded normalized mass drops below a
-caller-chosen bound eps (default 1e-12).
+caller-chosen bound eps (default 1e-12).  A truncation longer than
+_MAX_TRUNCATION_LEN entries, or an identity check on dense matrices of side
+above _MAX_IDENTITY_SIDE, raises ParameterError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -52,6 +54,13 @@ __all__ = [
     "v_identity_deviation",
     "w_identity_deviation",
 ]
+
+
+# longest truncated sequence (8 MB of float64)
+_MAX_TRUNCATION_LEN = 10**6
+
+# largest side M_build + 1 of the dense identity-check matrices (0.29 GB of float64 each)
+_MAX_IDENTITY_SIDE = 6000
 
 
 def _check_eps(eps) -> float:
@@ -225,7 +234,14 @@ class TruncatedSequence:
 
 
 def _truncation_index(rate: float, eps: float) -> int:
-    return math.ceil(math.log(1.0 / eps) / rate)
+    """Last retained index M = ceil(log(1/eps)/rate); the sequence has M + 1 entries."""
+    reach = math.log(1.0 / eps) / rate
+    if not reach <= _MAX_TRUNCATION_LEN - 1:
+        raise ParameterError(
+            f"truncation at rate {rate:.6g}, eps {eps:g} needs about {reach + 1:.0f} entries, "
+            f"above the limit of {_MAX_TRUNCATION_LEN}"
+        )
+    return math.ceil(reach)
 
 
 def _v_values(alpha: float, rho: float, m: int) -> tuple[np.ndarray, float]:
@@ -382,6 +398,11 @@ def _identity_deviation(
     """
     m = _truncation_index(rate, eps)
     m_build = _extended_grid_length(rate, m, gamma, sigma, rho, eps)
+    if m_build + 1 > _MAX_IDENTITY_SIDE:
+        raise ParameterError(
+            f"identity check at rate {rate:.6g} needs dense matrices of side {m_build + 1}, "
+            f"above the limit of {_MAX_IDENTITY_SIDE}"
+        )
     grid = TimeGrid(np.arange(m_build + 1, dtype=float))
     params = GameParams(
         n=n,

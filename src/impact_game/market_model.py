@@ -105,9 +105,7 @@ class TimeGrid:
     @classmethod
     def equidistant(cls, steps: int, horizon: float = 1.0) -> "TimeGrid":
         """N + 1 evenly spaced times covering [0, horizon]; steps = 0 gives {0}."""
-        steps = int(steps)
-        if steps < 0:
-            raise ParameterError(f"steps must be >= 0, got {steps}")
+        steps = _integer_at_least(steps, 0, "steps")
         if steps == 0:
             return cls(np.zeros(1))
         horizon = _positive_scalar(horizon, "horizon")

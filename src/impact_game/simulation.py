@@ -29,10 +29,10 @@ order.
 Contents
 --------
 PricePath          unaffected and impacted prices at the grid times
-CostSample         per-agent realized costs of one path
+CostBatch          read-only (count, n) realized costs of a seeded batch
 impacted_path      price after the aggregate transient impact
 realized_costs     per-agent costs of one path by the direct sum
-simulate_paths     batch simulation, one CostSample per path
+simulate_paths     batch simulation, one CostBatch row per path
 validate_moments   sample mean/variance vs closed-form targets, z-scored
 validate_cara      sample exponential utility vs its Gaussian closed form
 """
@@ -40,7 +40,7 @@ validate_cara      sample exponential utility vs its Gaussian closed form
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +57,7 @@ from .market_model import (
 
 __all__ = [
     "PricePath",
-    "CostSample",
+    "CostBatch",
     "MomentReport",
     "CaraReport",
     "impacted_path",
@@ -101,21 +101,21 @@ class PricePath:
 
 
 @dataclass(frozen=True)
-class CostSample:
-    """Per-agent realized costs of one simulated path.
+class CostBatch:
+    """Per-agent realized costs of a batch of simulated paths.
 
-    seed is the batch seed; index is the path's position within the batch,
-    so (seed, index) pins the sample down exactly.
+    costs[p, i] is agent i's cost on path p.  seed is the batch seed, so
+    (seed, p) pins one path down exactly.  The costs array is made
+    read-only in place, not copied.
     """
 
     costs: np.ndarray
     seed: int
-    index: int
 
     def __post_init__(self):
-        costs = np.array(self.costs, dtype=float, copy=True)
-        if costs.ndim != 1 or not np.all(np.isfinite(costs)):
-            raise ParameterError("costs must be a finite 1-d array")
+        costs = np.asarray(self.costs, dtype=float)
+        if costs.ndim != 2 or not np.isfinite(costs).all():
+            raise ParameterError("costs must be a finite (count, n) array")
         costs.setflags(write=False)
         object.__setattr__(self, "costs", costs)
 
@@ -132,19 +132,24 @@ def _trades_matrix(params: GameParams, strategies: Sequence) -> np.ndarray:
     return np.column_stack([s.trades for s in strategies])
 
 
+def _impacted(params: GameParams, strategies: Sequence, unaffected) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (trades, unaffected path) and the impacted price at every grid time."""
+    trades = _trades_matrix(params, strategies)
+    times = params.grid.times
+    unaffected = _finite_vector(unaffected, times.size, "unaffected path")
+    lag = np.abs(times[:, None] - times[None, :])
+    decay_strict = np.tril(kernel_eval(params.kernel, lag), -1)
+    return trades, unaffected, unaffected - decay_strict @ trades.sum(axis=1)
+
+
 def impacted_path(params: GameParams, strategies: Sequence, unaffected) -> PricePath:
     """Price path after the aggregate transient impact of all agents.
 
     impacted_k = unaffected_k - sum over t_l < t_k of G(t_k - t_l) tot_l.
     With zero aggregate trading the two paths coincide exactly.
     """
-    trades = _trades_matrix(params, strategies)
-    times = params.grid.times
-    unaffected = _finite_vector(unaffected, times.size, "unaffected path")
-    lag = np.abs(times[:, None] - times[None, :])
-    decay_strict = np.tril(kernel_eval(params.kernel, lag), -1)
-    impact = decay_strict @ trades.sum(axis=1)
-    return PricePath(unaffected=unaffected, impacted=unaffected - impact)
+    _, unaffected, impacted = _impacted(params, strategies, unaffected)
+    return PricePath(unaffected=unaffected, impacted=impacted)
 
 
 def realized_costs(params: GameParams, strategies: Sequence, unaffected) -> np.ndarray:
@@ -154,8 +159,7 @@ def realized_costs(params: GameParams, strategies: Sequence, unaffected) -> np.n
     independent of the kernel-matrix machinery used for the closed-form
     targets.
     """
-    trades = _trades_matrix(params, strategies)
-    path = impacted_path(params, strategies, unaffected)
+    trades, _, impacted = _impacted(params, strategies, unaffected)
     g0 = kernel_eval(params.kernel, 0.0)
     tot = trades.sum(axis=1)
     costs = np.empty(params.n)
@@ -163,7 +167,7 @@ def realized_costs(params: GameParams, strategies: Sequence, unaffected) -> np.n
         xi = trades[:, i]
         costs[i] = math.fsum(
             0.5 * g0 * xi[k] ** 2
-            - path.impacted[k] * xi[k]
+            - impacted[k] * xi[k]
             + 0.5 * g0 * xi[k] * (tot[k] - xi[k])
             + params.theta * xi[k] ** 2
             for k in range(xi.size)
@@ -184,10 +188,13 @@ def _increment_stds(params: GameParams) -> np.ndarray:
     return np.sqrt(dphi)
 
 
-def _cost_matrix(
-    params: GameParams, strategies: Sequence, count, seed
-) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Validated (count, seed, trades) and the realized costs of `count` paths, shape (count, n)."""
+def simulate_paths(params: GameParams, strategies: Sequence, count: int, seed: int) -> CostBatch:
+    """Simulate `count` unaffected paths and realize every agent's costs on each.
+
+    Row p of the batch is path p.  Gaussian increments come from a single
+    seeded generator, so the batch is reproducible bit for bit given
+    (seed, count).
+    """
     count = _integer_at_least(count, 1, "count")
     seed = _integer_at_least(seed, 0, "seed")
     if count * params.n > _MAX_SAMPLE_COSTS:
@@ -207,17 +214,7 @@ def _cost_matrix(
         chunk = costs[start:start + rows]
         np.matmul(rng.standard_normal((chunk.shape[0], m)), weights, out=chunk)
         np.subtract(base, chunk, out=chunk)
-    return count, seed, trades, costs
-
-
-def simulate_paths(params: GameParams, strategies: Sequence, count: int, seed: int) -> list[CostSample]:
-    """Simulate `count` unaffected paths and realize every agent's costs.
-
-    Gaussian increments come from a single seeded generator, so the batch
-    is reproducible bit for bit given (seed, count).
-    """
-    count, seed, _, costs = _cost_matrix(params, strategies, count, seed)
-    return [CostSample(costs=costs[p], seed=seed, index=p) for p in range(count)]
+    return CostBatch(costs=costs, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -261,18 +258,10 @@ class CaraReport:
         return asdict(self)
 
 
-def _moment_targets(params: GameParams, trades: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _moment_targets(params: GameParams, strategies: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form mean and variance of each agent's cost."""
-    flat = GameParams(
-        n=params.n,
-        gamma=0.0,
-        theta=params.theta,
-        kernel=params.kernel,
-        variance=params.variance,
-        grid=params.grid,
-        s0=params.s0,
-    )
-    matrices = build_matrices(flat)
+    trades = _trades_matrix(params, strategies)
+    matrices = build_matrices(replace(params, gamma=0.0))
     phi = params.phi_at_grid()
     cov = np.minimum.outer(phi, phi)
     tot = trades.sum(axis=1)
@@ -299,19 +288,17 @@ def _mean(values: np.ndarray) -> float:
     return math.fsum(values.tolist()) / values.size
 
 
-def _sample(
-    params: GameParams, strategies: Sequence, count, seed
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """One drawn sample: validated count, the (count, n) costs and their closed-form means and variances."""
-    count, _, trades, costs = _cost_matrix(params, strategies, count, seed)
-    target_means, target_variances = _moment_targets(params, trades)
-    return count, costs, target_means, target_variances
+def _sample(params: GameParams, strategies: Sequence, count, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One drawn sample: the (count, n) costs and their closed-form means and variances."""
+    costs = simulate_paths(params, strategies, count, seed).costs
+    return (costs, *_moment_targets(params, strategies))
 
 
 def _moment_reports(
-    count: int, costs: np.ndarray, target_means: np.ndarray, target_variances: np.ndarray
+    costs: np.ndarray, target_means: np.ndarray, target_variances: np.ndarray
 ) -> list[MomentReport]:
     """Moment reports of one drawn sample, one per agent (column of costs)."""
+    count = costs.shape[0]
     reports = []
     for i in range(costs.shape[1]):
         c = costs[:, i]
@@ -349,7 +336,8 @@ def validate_moments(params: GameParams, strategies: Sequence, count: int, seed:
     return _moment_reports(*_sample(params, strategies, count, seed))
 
 
-def _cara_report(agent: int, count: int, gamma: float, c: np.ndarray, mean: float, var: float) -> CaraReport:
+def _cara_report(agent: int, gamma: float, c: np.ndarray, mean: float, var: float) -> CaraReport:
+    count = c.size
     if gamma == 0.0:
         # risk-neutral limit of the utility: u(x) = x, applied to wealth -cost
         sample = -_mean(c)
@@ -386,11 +374,11 @@ def _cara_report(agent: int, count: int, gamma: float, c: np.ndarray, mean: floa
 
 
 def _cara_reports(
-    gamma: float, count: int, costs: np.ndarray, target_means: np.ndarray, target_variances: np.ndarray
+    gamma: float, costs: np.ndarray, target_means: np.ndarray, target_variances: np.ndarray
 ) -> list[CaraReport]:
     """Utility reports of one drawn sample, one per agent (column of costs)."""
     return [
-        _cara_report(i, count, gamma, costs[:, i], float(target_means[i]), float(target_variances[i]))
+        _cara_report(i, gamma, costs[:, i], float(target_means[i]), float(target_variances[i]))
         for i in range(costs.shape[1])
     ]
 

@@ -52,5 +52,5 @@ class TestPathCosts:
         fixed = realized_costs(params, strategies, np.zeros(4))
         stds = np.sqrt(np.diff(params.phi_at_grid(), prepend=0.0))
         paths = params.s0 + np.cumsum(np.random.default_rng(5).standard_normal((3, 4)) * stds, axis=1)
-        costs = np.array([sample.costs for sample in simulate_paths(params, strategies, 3, 5)])
+        costs = simulate_paths(params, strategies, 3, 5).costs
         np.testing.assert_allclose(costs, fixed[None, :] - paths @ trades, rtol=1e-14, atol=1e-14)

@@ -192,6 +192,13 @@ class TestInfinite:
         assert code == 2
         assert "error" in err
 
+    def test_long_truncation_exits_2(self, capsys):
+        # rejected before two 27.6M-entry sequences are built
+        code, out, err = run(capsys, ["infinite", "--n", "1", "--rho", "1e-6", "--gamma", "1"])
+        assert code == 2
+        assert out == ""
+        assert "27631050 entries" in err
+
     def test_risk_neutral_rejected(self, capsys):
         code, _, err = run(capsys, ["infinite", "--gamma", "0"])
         assert code == 2

@@ -257,6 +257,9 @@ class TestWClosedForm:
             w_closed_form(0, 1.0)
         with pytest.raises(ParameterError):
             w_closed_form(5, 0.0)
+        for steps in (3.9, 2.0, False):
+            with pytest.raises(ParameterError, match="integer"):
+                w_closed_form(steps, 1.0)
 
 
 class TestStrategy:

@@ -28,6 +28,7 @@ from impact_game import (
     v_identity_deviation,
     w_identity_deviation,
 )
+from impact_game import infinite_game
 from impact_game.infinite_game import TruncatedSequence
 
 # one-agent decay rate at rho = gamma = sigma = 1, correctly rounded;
@@ -245,6 +246,58 @@ class TestTruncatedIdentities:
         theta = 0.3 * n
         beta = solve_beta(theta, rho, gamma, sigma)
         assert w_identity_deviation(beta, theta, rho, gamma, sigma) <= 1e-11
+
+
+class TestSizeLimits:
+    def test_long_truncation_rejected_before_allocation(self):
+        # rho = 1e-6 needs 27.6M entries per sequence
+        with pytest.raises(ParameterError, match="27631050 entries"):
+            solve_stationary(1, 1e-6, 1.0, 1.0, 0.0)
+        with pytest.raises(ParameterError, match="limit of"):
+            infinite_v(1e-7, 1.0)
+        with pytest.raises(ParameterError, match="limit of"):
+            infinite_w(1e-320)  # log(1/eps)/beta overflows to inf
+
+    def test_truncation_limit_is_exact(self, monkeypatch):
+        # ceil(log(1e12)) = 28 at rate 1: v_0 .. v_28 is 29 entries
+        assert len(infinite_w(1.0)) == 29
+        monkeypatch.setattr(infinite_game, "_MAX_TRUNCATION_LEN", 29)
+        assert len(infinite_w(1.0)) == 29
+        monkeypatch.setattr(infinite_game, "_MAX_TRUNCATION_LEN", 28)
+        with pytest.raises(ParameterError, match="limit of 28"):
+            infinite_w(1.0)
+
+    def test_large_identity_check_rejected_before_allocation(self, monkeypatch):
+        # gamma = 1e-6 would need dense matrices of side 49110 (19 GB each)
+        def no_build(params):
+            raise AssertionError("matrices built past the limit")
+
+        monkeypatch.setattr(infinite_game, "build_matrices", no_build)
+        alpha = solve_alpha(1, 1.0, 1e-6, 1.0)
+        with pytest.raises(ParameterError, match="side 49110"):
+            v_identity_deviation(alpha, 1, 1.0, 1e-6, 1.0)
+        beta = solve_beta(0.0, 1.0, 1e-6, 1.0)
+        with pytest.raises(ParameterError, match="limit of"):
+            w_identity_deviation(beta, 0.0, 1.0, 1e-6, 1.0)
+
+    def test_identity_limit_admits_the_stationary_corner(self):
+        # n = 6, rho = 0.3, gamma = 1e-3 needs M = 4486 and M_build = 5820
+        alpha = solve_alpha(6, 0.3, 1e-3, 1.0)
+        m = infinite_game._truncation_index(alpha, 1e-12)
+        m_build = infinite_game._extended_grid_length(alpha, m, 1e-3, 1.0, 0.3, 1e-12)
+        assert (m, m_build) == (4486, 5820)
+        assert m_build + 1 <= infinite_game._MAX_IDENTITY_SIDE
+
+    def test_identity_limit_is_exact(self, monkeypatch):
+        n, rho, gamma, sigma = 2, 1.0, 1.0, 1.0
+        alpha = solve_alpha(n, rho, gamma, sigma)
+        m = infinite_game._truncation_index(alpha, 1e-12)
+        side = infinite_game._extended_grid_length(alpha, m, gamma, sigma, rho, 1e-12) + 1
+        monkeypatch.setattr(infinite_game, "_MAX_IDENTITY_SIDE", side)
+        assert v_identity_deviation(alpha, n, rho, gamma, sigma) <= 1e-11
+        monkeypatch.setattr(infinite_game, "_MAX_IDENTITY_SIDE", side - 1)
+        with pytest.raises(ParameterError, match=f"side {side}"):
+            v_identity_deviation(alpha, n, rho, gamma, sigma)
 
 
 class TestFiniteInfiniteConsistency:

@@ -58,8 +58,10 @@ class TestTimeGrid:
             TimeGrid(np.array([]))
         with pytest.raises(ParameterError):
             TimeGrid(np.array([0.0, np.inf]))
-        with pytest.raises(ParameterError):
-            TimeGrid.equidistant(-1)
+        for steps in (-1, 2.5, True, 3.0):
+            with pytest.raises(ParameterError, match="integer"):
+                TimeGrid.equidistant(steps)
+        assert TimeGrid.equidistant(np.int64(3)).steps == 3
 
     def test_single_positive_time_allowed(self):
         assert TimeGrid(np.array([0.25])).steps == 0

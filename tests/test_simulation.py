@@ -7,7 +7,7 @@ import pytest
 
 from impact_game import (
     BachelierVariance,
-    CostSample,
+    CostBatch,
     ExponentialKernel,
     GameParams,
     ParameterError,
@@ -50,10 +50,6 @@ def make_params(
 
 def zero_variance(horizon=1.0):
     return TabulatedVariance(np.array([0.0, horizon]), np.array([0.0, 0.0]))
-
-
-def sample_matrix(samples):
-    return np.array([s.costs for s in samples])
 
 
 class TestImpactedPath:
@@ -156,11 +152,9 @@ class TestSimulatePaths:
         eq = nash_equilibrium(params, [1.0, 0.5])
         first = simulate_paths(params, eq.strategies, 25, 42)
         second = simulate_paths(params, eq.strategies, 25, 42)
-        assert len(first) == len(second) == 25
-        for p, (a, b) in enumerate(zip(first, second)):
-            assert a.seed == b.seed == 42
-            assert a.index == b.index == p
-            np.testing.assert_array_equal(a.costs, b.costs)
+        assert first.costs.shape == second.costs.shape == (25, 2)
+        assert first.seed == second.seed == 42
+        np.testing.assert_array_equal(first.costs, second.costs)
 
     def test_zero_variance_collapses_to_deterministic_costs(self):
         params = make_params(variance=zero_variance())
@@ -168,8 +162,9 @@ class TestSimulatePaths:
         trades = rng.normal(size=(11, 2))
         strategies = list(trades.T)
         fixed = realized_costs(params, strategies, np.zeros(11))
-        for sample in simulate_paths(params, strategies, 7, 3):
-            np.testing.assert_array_equal(sample.costs, fixed)
+        batch = simulate_paths(params, strategies, 7, 3)
+        assert batch.costs.shape == (7, 2)
+        np.testing.assert_array_equal(batch.costs, np.broadcast_to(fixed, (7, 2)))
 
     def test_accelerated_batch_matches_direct_pricing(self):
         # the batch prices every path with one matrix product; rebuild the
@@ -181,9 +176,8 @@ class TestSimulatePaths:
         stds = np.sqrt(np.diff(params.phi_at_grid(), prepend=0.0))
         increments = np.random.default_rng(12).standard_normal((4, 6)) * stds
         paths = params.s0 + np.cumsum(increments, axis=1)
-        for p in range(4):
-            direct = realized_costs(params, strategies, paths[p])
-            np.testing.assert_allclose(batch[p].costs, direct, rtol=1e-12, atol=1e-12)
+        direct = np.array([realized_costs(params, strategies, path) for path in paths])
+        np.testing.assert_allclose(batch.costs, direct, rtol=1e-12, atol=1e-12)
 
     def test_chunk_boundaries_continue_one_stream(self, monkeypatch):
         # 6 grid values per path and 18 per chunk: 10 paths span 4 chunks of 3, 3, 3, 1 rows
@@ -202,9 +196,9 @@ class TestSimulatePaths:
         batch = simulate_paths(params, strategies, count, seed)
         stds = np.sqrt(np.diff(params.phi_at_grid(), prepend=0.0))
         paths = params.s0 + np.cumsum(whole * stds, axis=1)
-        for p in (2, 3, 5, 6, 8, 9):
-            direct = realized_costs(params, strategies, paths[p])
-            np.testing.assert_allclose(batch[p].costs, direct, rtol=1e-12, atol=0.0)
+        edges = [2, 3, 5, 6, 8, 9]
+        direct = np.array([realized_costs(params, strategies, paths[p]) for p in edges])
+        np.testing.assert_allclose(batch.costs[edges], direct, rtol=1e-12, atol=0.0)
 
     def test_sample_memory_does_not_grow_with_count_times_steps(self):
         # the parent drew and summed the whole (count, N + 1) path matrix: about 80 MB here
@@ -218,20 +212,39 @@ class TestSimulatePaths:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_batch_memory_is_one_cost_matrix(self):
+        # 1e5 paths of 2 agents: a 1.6 MB cost matrix plus one 8 MB chunk of draws
+        params = make_params(n=2, steps=10)
+        eq = nash_equilibrium(params, [1.0, 0.5])
+        tracemalloc.start()
+        try:
+            batch = simulate_paths(params, eq.strategies, 100_000, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.costs.shape == (100_000, 2)
+        assert peak < 16 * 2**20
+
     def test_oversized_sample_is_rejected(self, monkeypatch):
         params = make_params()
         eq = nash_equilibrium(params, [1.0, 0.5])
         monkeypatch.setattr(simulation, "_MAX_SAMPLE_COSTS", 20)
-        assert len(simulate_paths(params, eq.strategies, 10, 1)) == 10
+        assert simulate_paths(params, eq.strategies, 10, 1).costs.shape == (10, 2)
         with pytest.raises(ParameterError, match="limit of 20"):
             simulate_paths(params, eq.strategies, 11, 1)
 
-    def test_cost_sample_readonly_and_validated(self):
-        sample = CostSample(costs=[1.0, 2.0], seed=0, index=1)
+    def test_cost_batch_readonly_and_finite(self):
+        params = make_params()
+        eq = nash_equilibrium(params, [1.0, 0.5])
+        batch = simulate_paths(params, eq.strategies, 5, 2)
+        assert isinstance(batch, CostBatch)
+        assert np.isfinite(batch.costs).all()
         with pytest.raises(ValueError):
-            sample.costs[0] = 3.0
+            batch.costs[0, 0] = 3.0
         with pytest.raises(ParameterError):
-            CostSample(costs=[np.nan], seed=0, index=0)
+            CostBatch(costs=[[1.0, np.nan]], seed=0)
+        with pytest.raises(ParameterError):
+            CostBatch(costs=[1.0, 2.0], seed=0)  # one path, not a batch
 
     def test_count_and_seed_validation(self):
         params = make_params()
@@ -347,10 +360,8 @@ class TestEquilibriumOptimalityInSample:
         perturbed = xi + delta
 
         count, seed = 40000, 3
-        base = sample_matrix(simulate_paths(params, eq.strategies, count, seed))
-        moved = sample_matrix(
-            simulate_paths(params, [perturbed, eq.strategies[1]], count, seed)
-        )
+        base = simulate_paths(params, eq.strategies, count, seed).costs
+        moved = simulate_paths(params, [perturbed, eq.strategies[1]], count, seed).costs
         paired = moved[:, 0] - base[:, 0]
         gap = optimality_gap(perturbed, eq.strategies[0], eq.multipliers[0], matrices)
 
