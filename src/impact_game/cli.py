@@ -152,7 +152,11 @@ def cmd_equilibrium(args) -> int:
     params = _params_from_args(args)
     inventories = _parse_inventories(args.inventories, params.n)
     solution = nash_equilibrium(params, inventories)
-    print(f"foc_residual {solution.foc_residual:.3e}", file=sys.stderr)
+    print(
+        f"foc_residual {solution.foc_residual:.3e} solver {solution.solver} "
+        f"condition_v {solution.condition_v:.3e} condition_w {solution.condition_w:.3e}",
+        file=sys.stderr,
+    )
 
     header = ["t", "v", "w"] + [f"xi_{i + 1}" for i in range(params.n)]
     rows = []

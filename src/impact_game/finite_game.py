@@ -11,6 +11,29 @@ matrix.  The unique Nash equilibrium decomposes into two base vectors: v
 inventory and w (normalized solve of [Gamma - Gtilde] x = 1) carries each
 agent's deviation from the average.
 
+Solver paths
+------------
+Every solve of A x = b (A = Gamma + c Gtilde with c = n - 1 for v, c = -1
+for w, c = 0 for a best response) takes one of two paths:
+
+* banded: for the exponential kernel on an equidistant grid, with
+  B = (I - S)(I - a S), S the down-shift and a = e^{-rho h}, the product
+  B A B' is pentadiagonal for every c and every variance function.  (I - aS)
+  turns the decay matrix a^{|k-l|} diagonal and its one-sided half
+  bidiagonal, and (I - S) turns phi(t_{min(k,l)}) diagonal.  Its five
+  central diagonals are read from nine diagonals of the dense A, factored
+  by LAPACK dgbtrf, and x = B' (B A B')^{-1} B b.  The result is refined
+  against the dense A (Higham, Accuracy and Stability of Numerical
+  Algorithms, ch. 12) while the residual at least halves, up to
+  _REFINEMENT_STEPS steps, and accepted only when its normwise backward
+  error ||b - A x|| / (||A|| ||x|| + ||b||) (infinity norms) is at most
+  _BACKWARD_ERROR_LIMIT.  kappa_1 comes from ||A||_1 and the Hager-Higham
+  estimate of ||A^{-1}||_1 on banded solves with A and A'.
+* lu: dense pivoted LU with LAPACK dgecon for kappa_1.  It takes over a
+  banded solve that is singular, does not contract or is not accepted, and
+  it serves every other kernel and grid, compute_v, compute_w and the
+  threshold probes; it is the reference the banded path is tested against.
+
 Contents
 --------
 KernelMatrices        Gamma and Gtilde on a grid
@@ -26,6 +49,7 @@ optimality_gap        exact cost increase of a deviation from equilibrium
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,10 +57,16 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgecon
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon
 
 from .errors import IllConditionedWarning, NumericalError, ParameterError
-from .market_model import GameParams, _finite_vector, _integer_at_least, _positive_scalar
+from .market_model import (
+    ExponentialKernel,
+    GameParams,
+    _finite_vector,
+    _integer_at_least,
+    _positive_scalar,
+)
 
 __all__ = [
     "CONDITION_WARN_THRESHOLD",
@@ -55,6 +85,15 @@ __all__ = [
 
 # Condition estimates above this mark results with IllConditionedWarning.
 CONDITION_WARN_THRESHOLD = 1e12
+
+# largest side of the dense (N+1)^2 kernel matrices (0.29 GB of float64 each)
+_MAX_DENSE_SIDE = 6000
+
+# a refined banded solve is accepted at this normwise backward error
+_BACKWARD_ERROR_LIMIT = 8.0 * np.finfo(float).eps
+
+# most refinement steps of a banded solve
+_REFINEMENT_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -88,15 +127,31 @@ class KernelMatrices:
         return matrices
 
 
+def _check_dense_side(side: int, purpose: str) -> None:
+    """Raise ParameterError, before anything is allocated, past _MAX_DENSE_SIDE."""
+    if side > _MAX_DENSE_SIDE:
+        raise ParameterError(
+            f"{purpose} needs dense matrices of side {side}, above the limit of {_MAX_DENSE_SIDE}"
+        )
+
+
 def build_matrices(params: GameParams) -> KernelMatrices:
     """Assemble Gamma^{gamma,theta} and Gtilde for one game instance.
 
     Each matrix is built in its own buffer and handed over read-only, so the
-    peak stays near the three (N+1)^2 arrays decay, full and tilde.
+    peak stays near the three (N+1)^2 arrays decay, full and tilde.  A grid
+    of more than _MAX_DENSE_SIDE points raises ParameterError.
     """
-    # TimeGrid guarantees finite, nonnegative lags, so the kernel is evaluated directly
     times = params.grid.times
-    decay = np.asarray(params.kernel.eval(np.abs(times[:, None] - times[None, :])), dtype=float)
+    _check_dense_side(times.size, f"a grid of {times.size} points")
+    # TimeGrid guarantees finite, nonnegative lags; the kernel overwrites them in place
+    decay = np.subtract.outer(times, times)
+    np.abs(decay, out=decay)
+    in_place = getattr(params.kernel, "_eval_in_place", None)
+    if in_place is not None:
+        decay = in_place(decay)
+    else:
+        decay = np.asarray(params.kernel.eval(decay), dtype=float)
     phi = params.phi_at_grid()
     full = np.minimum.outer(phi, phi)
     full *= params.gamma
@@ -105,6 +160,13 @@ def build_matrices(params: GameParams) -> KernelMatrices:
     tilde = np.tril(decay)
     np.fill_diagonal(tilde, 0.5 * tilde.diagonal())
     return KernelMatrices._adopt(full, tilde)
+
+
+def _combined(matrices: KernelMatrices, weight: float) -> np.ndarray:
+    """Gamma + weight * Gtilde in one fresh buffer."""
+    matrix = weight * matrices.tilde
+    matrix += matrices.full
+    return matrix
 
 
 def _condition_estimate(matrix: np.ndarray, lu) -> float:
@@ -127,36 +189,192 @@ def _lu_factor(matrix: np.ndarray):
             raise NumericalError(f"kernel system is singular: {exc}") from exc
 
 
-def _check_solution(x: np.ndarray, matrix: np.ndarray, lu, label: str) -> float:
-    """Finiteness and conditioning audit shared by every solve."""
+def _banded_ratio(params: GameParams) -> float | None:
+    """a = e^{-rho h} where the banded path applies, else None.
+
+    It applies to the exponential kernel on an equidistant grid, recognised
+    as times == linspace(t_0, t_N, N + 1).
+    """
+    times = params.grid.times
+    if not isinstance(params.kernel, ExponentialKernel):
+        return None
+    if not np.array_equal(times, np.linspace(times[0], times[-1], times.size)):
+        return None
+    step = (times[-1] - times[0]) / max(times.size - 1, 1)
+    return math.exp(-params.kernel.rho * step)
+
+
+@functools.lru_cache(maxsize=4)
+def _band_layout(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather plan for nine central diagonals, and dlacn2's alternating vector.
+
+    Entry [s + 4, c + 2] of the (9, size + 2) gather is A[c - s, c]: `index`
+    holds its flat position in A and `inside` is 0.0 where that lies off the
+    matrix.  The arrays are read-only, so every caller can share them.
+    """
+    column = np.arange(-2, size)
+    row = column - np.arange(-4, 5)[:, None]
+    inside = (column >= 0) & (row >= 0) & (row < size)
+    index = np.where(inside, row * size + column, 0).ravel()
+    inside = inside.astype(float).ravel()
+    alternating = 1.0 + np.arange(size) / max(size - 1, 1)
+    alternating[1::2] *= -1.0
+    for arr in (index, inside, alternating):
+        arr.setflags(write=False)
+    return index, inside, alternating
+
+
+class _BandedSystem:
+    """A^{-1} as B' M^{-1} B with M = B A B' pentadiagonal, B = (I - S)(I - a S).
+
+    `factor` is None when dgbtrf finds M exactly singular.
+    """
+
+    def __init__(self, matrix: np.ndarray, ratio: float):
+        size = matrix.shape[0]
+        width = size + 2
+        self.matrix = matrix
+        self.taps = np.array([1.0, -(1.0 + ratio), ratio])
+        self.reversed_taps = self.taps[::-1].copy()
+        magnitudes = np.abs(matrix)
+        ones = np.ones(size)
+        self.norm_inf = (magnitudes @ ones).max()
+        self.norm_one = (ones @ magnitudes).max()
+        del magnitudes
+        index, inside, self.alternating = _band_layout(size)
+        # flat[(s + 4) * width + c + 2] = A[c - s, c] for |s| <= 4, zero off the
+        # matrix; two spare zeros at the end let the band come out as (5, width)
+        flat = np.zeros(9 * width + 2)
+        np.multiply(matrix.take(index), inside, out=flat[:-2])
+        _, b1, b2 = self.taps
+        # A B' first and B (A B') second: differencing in two stages keeps the
+        # cancellation error far below that of one nine-term sum per entry.
+        # A step of one row and one column is width + 1 along `flat`, so
+        # right[k * width + j] = (A B')[j - k + 2, j] for k = 0..6
+        right = flat[2 * width + 2 :] + b1 * flat[width + 1 : -width - 1]
+        right += b2 * flat[: -2 * width - 2]
+        # one row is width along `right`, so band row d + 2 holds M[j - d, j]
+        # for d = -2..2, which dgbtrf wants in storage row 4 - d
+        band = right[: -2 * width] + b1 * right[width:-width]
+        band += b2 * right[2 * width :]
+        storage = np.zeros((7, size))
+        storage[6:1:-1] = band.reshape(5, width)[:, :size]
+        lu, pivots, info = dgbtrf(storage, 2, 2, overwrite_ab=1)
+        self.factor = (lu, pivots) if info == 0 else None
+
+    def apply(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
+        """A^{-1} x, or A'^{-1} x with trans=1, for one vector x."""
+        lu, pivots = self.factor
+        y = np.correlate(x, self.reversed_taps, "full")[: x.size]
+        y, _ = dgbtrs(lu, 2, 2, y, pivots, trans=trans, overwrite_b=1)
+        return np.correlate(y, self.taps, "full")[2:]
+
+    def refine(self, rhs: np.ndarray) -> np.ndarray | None:
+        """Refined solution of A x = rhs, or None when it is not accepted.
+
+        The banded solution is always refined once; refinement goes on while
+        the residual at least halves.
+        """
+        rhs_norm = np.abs(rhs).max()
+        x = self.apply(rhs)
+        residual = rhs - self.matrix @ x
+        previous = np.abs(residual).max()
+        for _ in range(_REFINEMENT_STEPS):
+            x += self.apply(residual)
+            residual = rhs - self.matrix @ x
+            size = np.abs(residual).max()
+            if size <= _BACKWARD_ERROR_LIMIT * (self.norm_inf * np.abs(x).max() + rhs_norm):
+                return x
+            if not size <= 0.5 * previous:
+                return None
+            previous = size
+        return None
+
+    def condition(self, first: np.ndarray) -> float:
+        """kappa_1(A) as ||A||_1 times the Hager-Higham estimate of ||A^{-1}||_1.
+
+        `first` is A^{-1} 1, the solve LAPACK dlacn2 starts from after scaling
+        by 1/size.  The iteration is dlacn2's (Higham, Accuracy and Stability
+        of Numerical Algorithms, ch. 15) on banded solves with A and A',
+        keeping the larger of its last two estimates.
+        """
+        size = first.size
+        estimate = np.abs(first).sum() / size
+        if size == 1:
+            return self.norm_one * estimate
+        signs = np.copysign(1.0, first)
+        z = np.abs(self.apply(signs, trans=1))
+        j = z.argmax()
+        for _ in range(4):
+            unit = np.zeros(size)
+            unit[j] = 1.0
+            y = self.apply(unit)
+            previous, estimate = estimate, np.abs(y).sum()
+            new_signs = np.copysign(1.0, y)
+            if estimate <= previous or (new_signs == signs).all():
+                estimate = max(estimate, previous)
+                break
+            signs = new_signs
+            z = np.abs(self.apply(signs, trans=1))
+            last, j = j, z.argmax()
+            if z[last] == z[j]:
+                break
+        alternate = 2.0 * np.abs(self.apply(self.alternating)).sum() / (3 * size)
+        return self.norm_one * max(estimate, alternate)
+
+
+def _audited(x: np.ndarray, cond: float, label: str) -> float:
+    """Finiteness and conditioning audit shared by every solve; returns cond."""
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"linear solve for {label} produced non-finite entries")
-    cond = _condition_estimate(matrix, lu)
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"condition estimate {cond:.3e} for {label} exceeds "
             f"{CONDITION_WARN_THRESHOLD:.0e}; results may be inaccurate",
             IllConditionedWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return cond
 
 
-def _solve_base_vector(matrix: np.ndarray, label: str) -> tuple[np.ndarray, float]:
-    """Solve A x = 1 and normalize x to unit sum; returns (vector, condition)."""
+def _solve(
+    matrix: np.ndarray, label: str, ratio: float | None = None, other: np.ndarray | None = None
+) -> tuple[np.ndarray, float, str]:
+    """Solve A x = 1, and A z = other when given; returns ([x z], kappa_1 estimate, solver).
+
+    With a decay ratio the banded path is tried first; the dense LU takes
+    over when it is singular or not accepted (see the module docstring).
+    """
+    ones = np.ones(matrix.shape[0])
+    rhs = (ones,) if other is None else (ones, other)
+    if ratio is not None:
+        system = _BandedSystem(matrix, ratio)
+        if system.factor is not None:
+            columns = [system.refine(column) for column in rhs]
+            if all(column is not None for column in columns):
+                x = np.column_stack(columns)
+                return x, _audited(x, system.condition(columns[0]), label), "banded"
     lu = _lu_factor(matrix)
-    x = sla.lu_solve(lu, np.ones(matrix.shape[0]))
-    cond = _check_solution(x, matrix, lu, label)
+    x = sla.lu_solve(lu, np.column_stack(rhs))
+    return x, _audited(x, _condition_estimate(matrix, lu), label), "lu"
+
+
+def _solve_base_vector(
+    matrix: np.ndarray, label: str, ratio: float | None = None
+) -> tuple[np.ndarray, float, str]:
+    """Solve A x = 1 and normalize x to unit sum; returns (vector, condition, solver)."""
+    x, cond, solver = _solve(matrix, label, ratio)
+    x = x[:, 0]
     total = x.sum()
     if total == 0.0 or not np.isfinite(total):
         raise NumericalError(f"normalization of {label} degenerate: entries sum to {total}")
-    return x / total, cond
+    return x / total, cond, solver
 
 
 def compute_v(matrices: KernelMatrices, n: int) -> np.ndarray:
     """Base vector carrying the average inventory: [Gamma + (n-1) Gtilde]^{-1} 1, unit sum."""
     n = _integer_at_least(n, 1, "n")
-    vec, _ = _solve_base_vector(matrices.full + (n - 1) * matrices.tilde, "v")
+    vec, _, _ = _solve_base_vector(_combined(matrices, n - 1), "v")
     return vec
 
 
@@ -165,7 +383,7 @@ def compute_w(matrices: KernelMatrices) -> np.ndarray:
 
     Does not depend on the number of agents.
     """
-    vec, _ = _solve_base_vector(matrices.full - matrices.tilde, "w")
+    vec, _, _ = _solve_base_vector(_combined(matrices, -1), "w")
     return vec
 
 
@@ -227,6 +445,8 @@ class EquilibriumSolution:
 
     foc_residual is the largest deviation of Gamma xi_i + Gtilde sum_{j!=i} xi_j
     from its mean (the Lagrange multiplier), relative to max(1, |multiplier|).
+    solver is "banded" when both base vectors took the banded path and "lu"
+    when either took the dense LU (see the module docstring).
     """
 
     v: np.ndarray
@@ -237,6 +457,7 @@ class EquilibriumSolution:
     foc_residual: float
     condition_v: float
     condition_w: float
+    solver: str
 
     @property
     def ill_conditioned(self) -> bool:
@@ -258,28 +479,27 @@ def nash_equilibrium(params: GameParams, inventories) -> EquilibriumSolution:
 
     Agent i trades mean(X) * v + (X_i - mean(X)) * w.  The returned solution
     carries the per-agent Lagrange multipliers, mean-variance costs, the
-    first-order-condition residual, and condition estimates for both solves.
+    first-order-condition residual, condition estimates for both solves and
+    the solver path they took.
     """
     inventories = _finite_vector(inventories, params.n, "inventories")
     matrices = build_matrices(params)
-    v, cond_v = _solve_base_vector(matrices.full + (params.n - 1) * matrices.tilde, "v")
-    w, cond_w = _solve_base_vector(matrices.full - matrices.tilde, "w")
+    ratio = _banded_ratio(params)
+    v, cond_v, solver_v = _solve_base_vector(_combined(matrices, params.n - 1), "v", ratio)
+    w, cond_w, solver_w = _solve_base_vector(_combined(matrices, -1), "w", ratio)
 
     xbar = inventories.mean()
     trades = xbar * v[:, None] + (inventories - xbar)[None, :] * w[:, None]
-    total = trades.sum(axis=1)
-
-    multipliers = np.empty(params.n)
-    mv_costs = np.empty(params.n)
-    foc = 0.0
-    for i in range(params.n):
-        xi = trades[:, i]
-        others = total - xi
-        gradient = matrices.full @ xi + matrices.tilde @ others
-        alpha = gradient.mean()
-        multipliers[i] = alpha
-        foc = max(foc, np.abs(gradient - alpha).max() / max(1.0, abs(alpha)))
-        mv_costs[i] = _mv_cost_raw(matrices, params.s0, xi, others, inventories[i])
+    others = trades.sum(axis=1, keepdims=True) - trades
+    # column i: Gamma xi_i and Gtilde sum_{j != i} xi_j
+    own = matrices.full @ trades
+    cross = matrices.tilde @ others
+    gradient = own + cross
+    multipliers = gradient.mean(axis=0)
+    foc = np.abs(gradient - multipliers).max(axis=0) / np.maximum(1.0, np.abs(multipliers))
+    mv_costs = (
+        -inventories * params.s0 + 0.5 * (trades * own).sum(axis=0) + (trades * cross).sum(axis=0)
+    )
 
     strategies = tuple(
         Strategy(trades=trades[:, i], inventory=float(inventories[i])) for i in range(params.n)
@@ -290,9 +510,10 @@ def nash_equilibrium(params: GameParams, inventories) -> EquilibriumSolution:
         strategies=strategies,
         multipliers=multipliers,
         mv_costs=mv_costs,
-        foc_residual=float(foc),
+        foc_residual=float(foc.max()),
         condition_v=cond_v,
         condition_w=cond_w,
+        solver="banded" if solver_v == solver_w == "banded" else "lu",
     )
 
 
@@ -333,13 +554,10 @@ def best_response(others: Sequence, inventory: float, params: GameParams) -> Str
     grid_len = len(params.grid)
     others_sum = _others_sum(others, params, grid_len)
     matrices = build_matrices(params)
-
-    lu = _lu_factor(matrices.full)
-    y = sla.lu_solve(lu, np.ones(grid_len))
-    z = sla.lu_solve(lu, -(matrices.tilde @ others_sum))
-    _check_solution(y, matrices.full, lu, "best response")
-    if not np.all(np.isfinite(z)):
-        raise NumericalError("linear solve for best response produced non-finite entries")
+    x, _, _ = _solve(
+        matrices.full, "best response", _banded_ratio(params), -(matrices.tilde @ others_sum)
+    )
+    y, z = x.T
     denom = y.sum()
     if denom == 0.0 or not np.isfinite(denom):
         raise NumericalError(f"best-response multiplier degenerate: 1'y = {denom}")

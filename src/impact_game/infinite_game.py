@@ -15,7 +15,8 @@ profiles work for every theta >= 0.
 Sequences are truncated once the discarded normalized mass drops below a
 caller-chosen bound eps (default 1e-12).  A truncation longer than
 _MAX_TRUNCATION_LEN entries, or an identity check on dense matrices of side
-above _MAX_IDENTITY_SIDE, raises ParameterError before anything is allocated.
+above finite_game._MAX_DENSE_SIDE, raises ParameterError before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .finite_game import build_matrices
+from .finite_game import _check_dense_side, _combined, build_matrices
 from .market_model import (
     BachelierVariance,
     ExponentialKernel,
@@ -58,9 +59,6 @@ __all__ = [
 
 # longest truncated sequence (8 MB of float64)
 _MAX_TRUNCATION_LEN = 10**6
-
-# largest side M_build + 1 of the dense identity-check matrices (0.29 GB of float64 each)
-_MAX_IDENTITY_SIDE = 6000
 
 
 def _check_eps(eps) -> float:
@@ -398,11 +396,7 @@ def _identity_deviation(
     """
     m = _truncation_index(rate, eps)
     m_build = _extended_grid_length(rate, m, gamma, sigma, rho, eps)
-    if m_build + 1 > _MAX_IDENTITY_SIDE:
-        raise ParameterError(
-            f"identity check at rate {rate:.6g} needs dense matrices of side {m_build + 1}, "
-            f"above the limit of {_MAX_IDENTITY_SIDE}"
-        )
+    _check_dense_side(m_build + 1, f"identity check at rate {rate:.6g}")
     grid = TimeGrid(np.arange(m_build + 1, dtype=float))
     params = GameParams(
         n=n,
@@ -415,10 +409,8 @@ def _identity_deviation(
     matrices = build_matrices(params)
     x = np.exp(-rate * grid.times)
     x[0] = head
-    # in place: one (M+1)^2 temporary besides the two kernel matrices
-    matrix = weight * matrices.tilde
-    matrix += matrices.full
-    rows = matrix @ x
+    # one (M+1)^2 temporary besides the two kernel matrices
+    rows = _combined(matrices, weight) @ x
     return float(np.abs(rows[: m // 2 + 1] - _risk_term(rate, gamma, sigma)).max())
 
 

@@ -106,9 +106,9 @@ class TimeGrid:
     def equidistant(cls, steps: int, horizon: float = 1.0) -> "TimeGrid":
         """N + 1 evenly spaced times covering [0, horizon]; steps = 0 gives {0}."""
         steps = _integer_at_least(steps, 0, "steps")
+        horizon = _positive_scalar(horizon, "horizon")
         if steps == 0:
             return cls(np.zeros(1))
-        horizon = _positive_scalar(horizon, "horizon")
         return cls(np.linspace(0.0, horizon, steps + 1))
 
     @property
@@ -132,6 +132,11 @@ class ExponentialKernel:
     def eval(self, lag):
         return np.exp(-self.rho * np.asarray(lag, dtype=float))
 
+    def _eval_in_place(self, lag: np.ndarray) -> np.ndarray:
+        """eval on a float array, overwriting it: the same operations in the same order."""
+        lag *= -self.rho
+        return np.exp(lag, out=lag)
+
 
 @dataclass(frozen=True)
 class PowerLawKernel:
@@ -144,6 +149,12 @@ class PowerLawKernel:
 
     def eval(self, lag):
         return (1.0 + np.asarray(lag, dtype=float)) ** (-self.p)
+
+    def _eval_in_place(self, lag: np.ndarray) -> np.ndarray:
+        """eval on a float array, overwriting it: the same operations in the same order."""
+        lag += 1.0
+        lag **= -self.p
+        return lag
 
 
 DecayKernel = Union[ExponentialKernel, PowerLawKernel]

@@ -148,7 +148,7 @@ class _BaseVectorProbe:
         self.evaluations += 1
         matrix = self.base.copy()
         matrix.flat[:: matrix.shape[0] + 1] += 2.0 * theta
-        vector, _ = _solve_base_vector(matrix, f"the base vector at theta = {theta}")
+        vector, _, _ = _solve_base_vector(matrix, f"the base vector at theta = {theta}")
         return vector
 
     def monotone_at(self, theta: float) -> bool:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from impact_game import simulation
+from impact_game import finite_game, simulation
 from impact_game.cli import main
 
 ALPHA_N1_UNIT = 0.561952002379033
@@ -64,6 +64,27 @@ class TestEquilibrium:
         lines = target.read_text().splitlines()
         assert lines[0] == "t,v,w,xi_1,xi_2"
         assert len(lines) == 5
+
+    def test_stderr_reports_solver_and_conditions(self, capsys):
+        _, _, err = run(capsys, ["equilibrium", "--n", "2", "--N", "20"])
+        words = err.split()
+        assert words[0::2] == ["foc_residual", "solver", "condition_v", "condition_w"]
+        assert words[3] == "banded"
+        assert float(words[5]) > 1.0 and float(words[7]) > 1.0
+        _, _, err = run(capsys, ["equilibrium", "--N", "20", "--kernel", "power"])
+        assert "solver lu " in err
+
+    def test_oversized_grid_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(finite_game, "_MAX_DENSE_SIDE", 50)
+        code, out, err = run(capsys, ["equilibrium", "--N", "60"])
+        assert code == 2
+        assert out == ""
+        assert "side 61" in err
+
+    def test_zero_steps_with_negative_horizon_exits_2(self, capsys):
+        code, _, err = run(capsys, ["equilibrium", "--N", "0", "--horizon", "-3"])
+        assert code == 2
+        assert "horizon" in err
 
     def test_invalid_agent_count_exits_2(self, capsys):
         code, _, err = run(capsys, ["equilibrium", "--n", "0"])

@@ -165,6 +165,19 @@ class TestBuildMatrices:
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
 
+    def test_oversized_grid_rejected_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(impact_game.finite_game, "_MAX_DENSE_SIDE", 11)
+        build_matrices(make_params(grid=TimeGrid.equidistant(10)))
+        params = make_params(grid=TimeGrid.equidistant(2000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="side 2001, above the limit of 11"):
+                build_matrices(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_user_built_matrices_are_copied(self):
         full = np.eye(3) * 2.0
         tilde = np.tril(np.ones((3, 3)))

@@ -28,7 +28,7 @@ from impact_game import (
     v_identity_deviation,
     w_identity_deviation,
 )
-from impact_game import infinite_game
+from impact_game import finite_game, infinite_game
 from impact_game.infinite_game import TruncatedSequence
 
 # one-agent decay rate at rho = gamma = sigma = 1, correctly rounded;
@@ -286,16 +286,16 @@ class TestSizeLimits:
         m = infinite_game._truncation_index(alpha, 1e-12)
         m_build = infinite_game._extended_grid_length(alpha, m, 1e-3, 1.0, 0.3, 1e-12)
         assert (m, m_build) == (4486, 5820)
-        assert m_build + 1 <= infinite_game._MAX_IDENTITY_SIDE
+        assert m_build + 1 <= finite_game._MAX_DENSE_SIDE
 
     def test_identity_limit_is_exact(self, monkeypatch):
         n, rho, gamma, sigma = 2, 1.0, 1.0, 1.0
         alpha = solve_alpha(n, rho, gamma, sigma)
         m = infinite_game._truncation_index(alpha, 1e-12)
         side = infinite_game._extended_grid_length(alpha, m, gamma, sigma, rho, 1e-12) + 1
-        monkeypatch.setattr(infinite_game, "_MAX_IDENTITY_SIDE", side)
+        monkeypatch.setattr(finite_game, "_MAX_DENSE_SIDE", side)
         assert v_identity_deviation(alpha, n, rho, gamma, sigma) <= 1e-11
-        monkeypatch.setattr(infinite_game, "_MAX_IDENTITY_SIDE", side - 1)
+        monkeypatch.setattr(finite_game, "_MAX_DENSE_SIDE", side - 1)
         with pytest.raises(ParameterError, match=f"side {side}"):
             v_identity_deviation(alpha, n, rho, gamma, sigma)
 

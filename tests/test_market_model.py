@@ -47,6 +47,11 @@ class TestTimeGrid:
         assert list(grid.times) == [0.0]
         assert grid.steps == 0
 
+    @pytest.mark.parametrize("horizon", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_zero_steps_still_validates_horizon(self, horizon):
+        with pytest.raises(ParameterError, match="horizon"):
+            TimeGrid.equidistant(0, horizon)
+
     def test_rejects_bad_times(self):
         with pytest.raises(ParameterError):
             TimeGrid(np.array([0.0, 0.5, 0.5]))
@@ -73,6 +78,19 @@ class TestTimeGrid:
 
 
 class TestKernels:
+    @pytest.mark.parametrize(
+        "kernel",
+        [ExponentialKernel(1.3), PowerLawKernel(0.7), PowerLawKernel(0.5), PowerLawKernel(1.0),
+         PowerLawKernel(2.0)],
+    )
+    def test_in_place_evaluation_is_bit_identical(self, kernel):
+        times = np.sort(np.random.default_rng(3).uniform(0.0, 4.0, 40))
+        lag = np.abs(np.subtract.outer(times, times))
+        expected = kernel.eval(lag)
+        result = kernel._eval_in_place(lag)
+        assert np.shares_memory(result, lag)
+        np.testing.assert_array_equal(result, expected)
+
     def test_exponential_values(self):
         kernel = ExponentialKernel(2.0)
         assert kernel_eval(kernel, 0.0) == 1.0
