@@ -25,8 +25,8 @@ from contextlib import nullcontext
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .finite_game import nash_equilibrium
-from .infinite_game import critical_theta_infinite, infinite_nash, solve_stationary
+from .finite_game import _check_dense_steps, nash_equilibrium
+from .infinite_game import _infinite_nash, critical_theta_infinite, solve_stationary
 from .market_model import (
     BachelierVariance,
     ExponentialKernel,
@@ -136,6 +136,7 @@ def _kernel_from_args(args) -> ExponentialKernel | PowerLawKernel:
 
 
 def _params_from_args(args) -> GameParams:
+    _check_dense_steps(args.N)
     return GameParams(
         n=args.n,
         gamma=args.gamma,
@@ -228,10 +229,11 @@ def cmd_infinite(args) -> int:
     strategies = None
     if args.inventories is not None:
         inventories = _parse_inventories(args.inventories, args.n)
-        strategies = infinite_nash(
-            args.n, args.rho, args.gamma, args.sigma, theta, inventories, eps=args.eps
+        solution, strategies = _infinite_nash(
+            args.n, args.rho, args.gamma, args.sigma, theta, inventories, args.eps
         )
-    solution = solve_stationary(args.n, args.rho, args.gamma, args.sigma, theta, eps=args.eps)
+    else:
+        solution = solve_stationary(args.n, args.rho, args.gamma, args.sigma, theta, eps=args.eps)
 
     report = {
         "n": args.n,

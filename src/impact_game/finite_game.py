@@ -135,6 +135,12 @@ def _check_dense_side(side: int, purpose: str) -> None:
         )
 
 
+def _check_dense_steps(steps: int) -> None:
+    """_check_dense_side for an equidistant grid of `steps` steps, before it is built."""
+    side = _integer_at_least(steps, 0, "steps") + 1
+    _check_dense_side(side, f"a grid of {side} points")
+
+
 def build_matrices(params: GameParams) -> KernelMatrices:
     """Assemble Gamma^{gamma,theta} and Gtilde for one game instance.
 

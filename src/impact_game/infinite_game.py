@@ -349,6 +349,11 @@ def infinite_nash(
     A nonzero average inventory requires theta = (n - 1)/4 exactly (up to
     relative round-off); zero-sum profiles are accepted for any theta >= 0.
     """
+    return _infinite_nash(n, rho, gamma, sigma, theta, inventories, eps)[1]
+
+
+def _infinite_nash(n, rho, gamma, sigma, theta, inventories, eps):
+    """infinite_nash together with the stationary solution its schedules come from."""
     n = _integer_at_least(n, 1, "n")
     inventories = _finite_vector(inventories, n, "inventories")
     xbar = inventories.mean()
@@ -362,7 +367,7 @@ def infinite_nash(
             f"theta = (n - 1)/4 = {theta_star}; got theta = {theta}"
         )
     solution = solve_stationary(n, rho, gamma, sigma, theta, eps=eps)
-    return [xbar * solution.v + (x - xbar) * solution.w for x in inventories]
+    return solution, [xbar * solution.v + (x - xbar) * solution.w for x in inventories]
 
 
 # ---------------------------------------------------------------------------

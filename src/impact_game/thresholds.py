@@ -12,12 +12,14 @@ level by bisection on theta, for either base vector:
 
 Each search runs on three grids, coarse to fine: N/4 and N/2 steps by a
 cold bisection, then the requested N steps from the Richardson guess
-theta_{N/2} + (theta_{N/2} - theta_{N/4}) / 2.  The full-grid bisection
-probes the same lattice of theta values as a cold one, so its result is
-the same; it only needs a few probes near the guess.  ``evaluations``
-counts the probes on all three grids.  Each probe is one dense LU solve
-with the condition audit of ``finite_game``, so an ill-conditioned probe
-warns with IllConditionedWarning.
+theta_{N/2} + (theta_{N/2} - theta_{N/4}) / 2.  The full-grid search
+replays the cold bisection on answers predicted from the guess, probes the
+two ends of the bracket it reaches, and then runs the cold bisection on
+real answers, which the probes already made supply wherever they bracket
+theta.  Its result is the cold one; a good guess only saves probes.
+``evaluations`` counts the probes on all three grids.  Each probe is one
+dense LU solve with the condition audit of ``finite_game``, so an
+ill-conditioned probe warns with IllConditionedWarning.
 
 ``sweep`` runs a batch of searches across parameter points, optionally in
 threads (the inner linear algebra releases the GIL).
@@ -25,6 +27,7 @@ threads (the inner linear algebra releases the GIL).
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +36,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .finite_game import _solve_base_vector, build_matrices
+from .finite_game import _check_dense_steps, _combined, _solve_base_vector, build_matrices
 from .market_model import (
     BachelierVariance,
     DecayKernel,
@@ -133,15 +136,12 @@ class _BaseVectorProbe:
     ):
         if which not in ("v", "w"):
             raise ParameterError(f"which must be 'v' or 'w', got {which!r}")
+        _check_dense_steps(steps)
         grid = TimeGrid.equidistant(steps)
         params = GameParams(
             n=n, gamma=gamma, theta=0.0, kernel=kernel, variance=variance, grid=grid
         )
-        matrices = build_matrices(params)
-        if which == "v":
-            self.base = matrices.full + (n - 1) * matrices.tilde
-        else:
-            self.base = matrices.full - matrices.tilde
+        self.base = _combined(build_matrices(params), n - 1 if which == "v" else -1)
         self.evaluations = 0
 
     def vector_at(self, theta: float) -> np.ndarray:
@@ -155,82 +155,29 @@ class _BaseVectorProbe:
         return not oscillation_report(self.vector_at(theta)).oscillating
 
 
-def _halvings(width: float, resolution: float) -> int:
-    """Number of bisection steps that bring `width` to at most `resolution`."""
-    count = 0
-    while width > resolution:
-        width *= 0.5
-        count += 1
-    return count
+def _bisect(answer, upper_start: float, resolution: float) -> tuple[float, float]:
+    """The cold search as a pure function of its answers; returns its final bracket.
 
-
-def _warm_search(probe: _BaseVectorProbe, upper_start: float, resolution: float, guess: float):
-    """The cold search's bracket found from a guess, or None where its lattice is inexact.
-
-    Past its theta = 0 probe the cold search doubles hi from u = upper_start
-    until the vector is monotone, which leaves it bisecting [0, u] or
-    [u 2^(m-1), u 2^m] (m <= 4).  After k halvings its bracket ends lie on
-    the lattice bottom + j W / 2^k, whose points are exact doubles when
-    u 2^(k+1) <= 2^53.  This search probes only those points: it snaps the
-    guess to a lattice cell, expands in doubling index steps until one end
-    oscillates and the other is monotone, moves to the neighbouring doubling
-    interval when the expansion runs off an end, and bisects on indices.
-    Wherever the classification is monotone in theta, the bracket equals the
-    cold one bit for bit.  The caller has seen theta = 0 oscillate.
+    answer(theta) says whether the vector is monotone at theta.  The search
+    doubles an upper end from upper_start until it is monotone, then bisects
+    until the bracket is no wider than the resolution or its ends are
+    adjacent doubles.
     """
-    if not float(upper_start).is_integer() or (
-        upper_start * 2.0 ** (_halvings(8.0 * upper_start, resolution) + 1) > 2.0**53
-    ):
-        return None
-    known = {0.0: False}
-
-    def monotone(theta: float) -> bool:
-        if theta not in known:
-            known[theta] = probe.monotone_at(theta)
-        return known[theta]
-
-    m = 0
-    while m < 4 and upper_start * 2.0**m < guess:
-        m += 1
-    while True:
-        top = upper_start * 2.0**m
-        bottom = 0.0 if m == 0 else 0.5 * top
-        last = 2 ** _halvings(top - bottom, resolution)
-        spacing = (top - bottom) / last
-        j = min(max(int((guess - bottom) // spacing), 0), last - 1)
-        step = 1
-        if monotone(bottom + j * spacing):
-            hi = j
-            while hi > 0:
-                lo = max(hi - step, 0)
-                if not monotone(bottom + lo * spacing):
-                    break
-                hi, step = lo, 2 * step
-            else:
-                m, guess = m - 1, bottom  # the boundary lies in the doubling interval below
-                continue
+    lo, hi = 0.0, upper_start
+    cap = 16.0 * upper_start
+    while not answer(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > cap:
+            raise NumericalError(f"no monotone base vector found for theta up to {cap}")
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # lo and hi are adjacent doubles: no finer bracket exists
+        if answer(mid):
+            hi = mid
         else:
-            lo = j
-            while lo < last:
-                hi = min(lo + step, last)
-                if monotone(bottom + hi * spacing):
-                    break
-                lo, step = hi, 2 * step
-            else:
-                if m == 4:
-                    raise NumericalError(
-                        f"no monotone base vector found for theta up to {16.0 * upper_start}"
-                    )
-                m, guess = m + 1, top  # the boundary lies in the doubling interval above
-                continue
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if monotone(bottom + mid * spacing):
-                hi = mid
-            else:
-                lo = mid
-        lo_theta, hi_theta = bottom + lo * spacing, bottom + hi * spacing
-        return 0.5 * (lo_theta + hi_theta), (lo_theta, hi_theta)
+            lo = mid
+    return lo, hi
 
 
 def _search(
@@ -238,35 +185,44 @@ def _search(
 ):
     """Bisect the oscillating/monotone boundary; returns (theta*, bracket).
 
-    The cold search (no guess) doubles an upper end from upper_start until
-    the vector is monotone, then bisects to the resolution.  With a guess in
-    (0, 16 upper_start] the bisection runs warm on the cold search's lattice
-    and returns the same result with fewer probes.
+    The result is always the cold search's (``_bisect``) on real answers:
+    probe solves, or answers that the probes made so far imply (theta at or
+    below an oscillating probe, or at or above a monotone one).  Wherever
+    the classification is monotone in theta, implied answers are real ones,
+    so a guess changes only which probes are spent.  With a guess, the cold
+    search is first replayed on predicted answers (theta > guess) and both
+    ends of its bracket are probed, the end in the direction of travel
+    first (the lower end on the first replay).  When both hold, every answer of the replay is implied and the
+    real search costs no further probe.  When one fails, the guess gallops
+    past it by the bracket width, then by 2, 4 and 8 times that; galloping
+    stops early when the direction flips or the replay ends on adjacent
+    doubles.
     """
     if probe.monotone_at(0.0):
         return 0.0, (0.0, 0.0)
-    if guess is not None:
-        found = _warm_search(probe, upper_start, resolution, guess)
-        if found is not None:
-            return found
-    lo = 0.0
-    hi = upper_start
-    cap = 16.0 * upper_start
-    while not probe.monotone_at(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > cap:
-            raise NumericalError(
-                f"no monotone base vector found for theta up to {cap}"
-            )
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # lo and hi are adjacent doubles: no finer bracket exists
-        if probe.monotone_at(mid):
-            hi = mid
-        else:
-            lo = mid
+    seen = [0.0, math.inf]  # largest oscillating and smallest monotone theta probed
+
+    def answer(theta: float, predict: bool) -> bool:
+        if seen[0] < theta < seen[1]:
+            if predict:
+                return theta > guess
+            seen[probe.monotone_at(theta)] = theta
+        return theta >= seen[1]
+
+    direction = 0
+    for gallop in range(5 if guess is not None else 0):
+        try:
+            lo, hi = _bisect(lambda theta: answer(theta, True), upper_start, resolution)
+        except NumericalError:
+            break  # the guess lies past the cap: only the real search can tell
+        # the first replay ends with lo <= guess < hi: a guess on an end puts lo in doubt
+        ends = (hi, lo) if direction > 0 else (lo, hi)
+        failed = next((end for end in ends if answer(end, False) != (end == hi)), None)
+        turn = 0 if failed is None else 1 if failed == hi else -1
+        if turn in (0, -direction) or hi - lo > resolution:
+            break  # certified, turned back, or at adjacent doubles where no step is finer
+        guess, direction = failed + turn * 2.0**gallop * (hi - lo), turn
+    lo, hi = _bisect(lambda theta: answer(theta, False), upper_start, resolution)
     return 0.5 * (lo + hi), (lo, hi)
 
 
@@ -309,7 +265,7 @@ def _critical_theta(
         _search(probe, upper, resolution)  # the full grid's own failure takes precedence
         raise
     guess = theta_coarse + 0.5 * (theta_coarse - theta_quarter)
-    if theta_quarter == 0.0 or theta_coarse == 0.0 or not 0.0 < guess <= 16.0 * upper:
+    if theta_quarter == 0.0 or theta_coarse == 0.0:
         guess = None
     theta_star, bracket = _search(probe, upper, resolution, guess)
     return ThresholdResult(

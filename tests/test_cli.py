@@ -1,10 +1,12 @@
 """Command-line interface: formats, exit codes, byte stability."""
 
+import csv
+import io
 import json
 
 import pytest
 
-from impact_game import finite_game, simulation
+from impact_game import TimeGrid, cli, finite_game, infinite_game, simulation
 from impact_game.cli import main
 
 ALPHA_N1_UNIT = 0.561952002379033
@@ -213,6 +215,21 @@ class TestInfinite:
         assert code == 2
         assert "error" in err
 
+    def test_one_stationary_solve_per_run(self, capsys, monkeypatch):
+        calls = []
+        reference = infinite_game.solve_stationary
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return reference(*args, **kwargs)
+
+        monkeypatch.setattr(infinite_game, "solve_stationary", counting)
+        monkeypatch.setattr(cli, "solve_stationary", counting)
+        for extra in ([], ["--theta", "0.7", "--inventories", "1,-1"]):
+            calls.clear()
+            assert run(capsys, ["infinite", "--n", "2", "--gamma", "1", *extra])[0] == 0
+            assert len(calls) == 1, extra
+
     def test_long_truncation_exits_2(self, capsys):
         # rejected before two 27.6M-entry sequences are built
         code, out, err = run(capsys, ["infinite", "--n", "1", "--rho", "1e-6", "--gamma", "1"])
@@ -283,6 +300,50 @@ class TestMonteCarlo:
         monkeypatch.setattr(simulation, "realized_costs", counting)
         assert run(capsys, self.ARGS)[0] == 0
         assert len(calls) == 1
+
+
+class TestStepLimit:
+    """An oversized --N is refused before its grid is built."""
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        built = []
+        equidistant = TimeGrid.equidistant.__func__
+
+        def counting(cls, steps, horizon=1.0):
+            built.append(steps)
+            return equidistant(cls, steps, horizon)
+
+        monkeypatch.setattr(TimeGrid, "equidistant", classmethod(counting))
+        monkeypatch.setattr(finite_game, "_MAX_DENSE_SIDE", 51)
+        return built
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["equilibrium"], ["montecarlo", "--count", "300"]],
+        ids=["equilibrium", "montecarlo"],
+    )
+    def test_exits_2_before_the_grid(self, capsys, grids, argv):
+        code, out, err = run(capsys, [*argv, "--N", "51"])
+        assert (code, out, grids) == (2, "", [])
+        assert "side 52, above the limit of 51" in err
+        assert run(capsys, [*argv, "--N", "50"])[0] == 0
+        assert grids == [50]
+
+    def test_thresholds_point_fails_before_the_grid(self, capsys, grids):
+        code, out, err = run(capsys, ["thresholds", "--which", "w", "--N", "51,20"])
+        assert code == 0
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert "side 52" in rows[0][header.index("error")]
+        assert rows[1][header.index("error")] == ""
+        assert "N=51" in err and "side 52" in err
+        assert grids == [20, 10, 5]
+
+    @pytest.mark.parametrize("command", ["equilibrium", "montecarlo"])
+    def test_steps_past_memory_exit_2(self, capsys, command):
+        code, out, err = run(capsys, [command, "--N", "1000000000000"])
+        assert (code, out) == (2, "")
+        assert "side 1000000000001" in err
 
 
 class TestHelp:

@@ -261,6 +261,35 @@ class TestWarmSearch:
         warm = _outcome(_StepProbe(boundary * upper), upper, resolution, guess * upper)
         assert warm == cold
 
+    @pytest.mark.parametrize(
+        "upper, resolution",
+        [(1.0, 1e-300), (2.5, 1e-4)],
+        ids=["sub-ulp-resolution", "non-integer-upper"],
+    )
+    def test_guess_on_the_bracket_spends_three_probes(self, upper, resolution):
+        # theta = 0 and the two ends of the bracket, also where they are
+        # adjacent doubles
+        probe = _BaseVectorProbe(
+            "w", 1, 40, 0.0, ExponentialKernel(1.0), BachelierVariance(1.0)
+        )
+        cold = _search(probe, upper, resolution)
+        cold_probes = probe.evaluations
+        for guess in (cold[1][0], cold[0], cold[1][1]):
+            probe.evaluations = 0
+            assert _search(probe, upper, resolution, guess) == cold, guess
+            assert probe.evaluations <= (3 if guess == cold[1][0] else cold_probes + 8), guess
+
+    def test_distant_guess_costs_at_most_eight_probes_more(self):
+        probe = _BaseVectorProbe(
+            "w", 1, 40, 0.0, ExponentialKernel(1.0), BachelierVariance(1.0)
+        )
+        cold = _search(probe, 1.0, 1e-12)
+        cold_probes = probe.evaluations
+        for guess in (cold[0] - 1e-3, cold[0] + 1e-3):
+            probe.evaluations = 0
+            assert _search(probe, 1.0, 1e-12, guess) == cold, guess
+            assert probe.evaluations <= cold_probes + 8, guess
+
     def test_power_law_search_spends_few_full_grid_probes(self, monkeypatch):
         sizes = []
         vector_at = _BaseVectorProbe.vector_at
