@@ -29,10 +29,12 @@ for w, c = 0 for a best response) takes one of two paths:
   error ||b - A x|| / (||A|| ||x|| + ||b||) (infinity norms) is at most
   _BACKWARD_ERROR_LIMIT.  kappa_1 comes from ||A||_1 and the Hager-Higham
   estimate of ||A^{-1}||_1 on banded solves with A and A'.
-* lu: dense pivoted LU with LAPACK dgecon for kappa_1.  It takes over a
-  banded solve that is singular, does not contract or is not accepted, and
-  it serves every other kernel and grid, compute_v, compute_w and the
-  threshold probes; it is the reference the banded path is tested against.
+* lu: dense pivoted LU by LAPACK dgetrf and dgetrs, with dgecon for
+  kappa_1, in one helper (_lu_solve) that factors a Fortran-ordered buffer
+  in place.  It takes over a banded solve that is singular, does not
+  contract or is not accepted, and it serves every other kernel and grid,
+  compute_v, compute_w and the threshold probes; it is the reference the
+  banded path is tested against.
 
 Contents
 --------
@@ -56,8 +58,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon, dgetrf, dgetrs
 
 from .errors import IllConditionedWarning, NumericalError, ParameterError
 from .market_model import (
@@ -112,6 +113,8 @@ class KernelMatrices:
             arr = np.array(getattr(self, name), dtype=float, copy=True)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ParameterError(f"{name} must be a square matrix")
+            if not np.all(np.isfinite(arr)):
+                raise ParameterError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.full.shape != self.tilde.shape:
@@ -146,10 +149,18 @@ def build_matrices(params: GameParams) -> KernelMatrices:
 
     Each matrix is built in its own buffer and handed over read-only, so the
     peak stays near the three (N+1)^2 arrays decay, full and tilde.  A grid
-    of more than _MAX_DENSE_SIDE points raises ParameterError.
+    of more than _MAX_DENSE_SIDE points, or entries that may overflow (the
+    bound gamma max phi + G(0) + 2 theta is not finite), raise ParameterError
+    before anything of size N^2 is allocated.
     """
     times = params.grid.times
     _check_dense_side(times.size, f"a grid of {times.size} points")
+    phi = params.phi_at_grid()
+    bound = params.gamma * float(phi.max()) + float(params.kernel.eval(0.0)) + 2.0 * params.theta
+    if not math.isfinite(bound):
+        raise ParameterError(
+            f"kernel matrix entries overflow: gamma * max phi + G(0) + 2 theta = {bound}"
+        )
     # TimeGrid guarantees finite, nonnegative lags; the kernel overwrites them in place
     decay = np.subtract.outer(times, times)
     np.abs(decay, out=decay)
@@ -158,7 +169,6 @@ def build_matrices(params: GameParams) -> KernelMatrices:
         decay = in_place(decay)
     else:
         decay = np.asarray(params.kernel.eval(decay), dtype=float)
-    phi = params.phi_at_grid()
     full = np.minimum.outer(phi, phi)
     full *= params.gamma
     full += decay
@@ -168,31 +178,31 @@ def build_matrices(params: GameParams) -> KernelMatrices:
     return KernelMatrices._adopt(full, tilde)
 
 
-def _combined(matrices: KernelMatrices, weight: float) -> np.ndarray:
-    """Gamma + weight * Gtilde in one fresh buffer."""
-    matrix = weight * matrices.tilde
+def _combined(matrices: KernelMatrices, weight: float, order: str = "C") -> np.ndarray:
+    """Gamma + weight * Gtilde in one fresh buffer of the given memory order."""
+    matrix = np.multiply(weight, matrices.tilde, order=order)
     matrix += matrices.full
     return matrix
 
 
-def _condition_estimate(matrix: np.ndarray, lu) -> float:
-    """One-norm condition estimate kappa_1(A) from an existing LU factorization.
+def _lu_solve(work: np.ndarray, rhs: np.ndarray, norm_one: float) -> tuple[np.ndarray, float]:
+    """Solve A x = rhs by pivoted LU; returns (x, kappa_1 estimate).
 
-    LAPACK dgecon runs the Hager-Higham estimator of ||A^{-1}||_1 on the LU
-    factors (Higham, Accuracy and Stability of Numerical Algorithms, ch. 15).
+    `work` holds A in Fortran order and LAPACK dgetrf overwrites it with the
+    factors, so no copy and no finiteness pass is made: build_matrices and
+    KernelMatrices keep non-finite entries out, and the caller audits x.
+    norm_one is ||A||_1, and dgecon runs the Hager-Higham estimator of
+    ||A^{-1}||_1 on the factors (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 15).  Exact singularity raises NumericalError.
     """
-    rcond, _ = dgecon(lu[0], np.abs(matrix).sum(axis=0).max(), norm="1")
-    return 1.0 / rcond if rcond > 0.0 else math.inf
-
-
-def _lu_factor(matrix: np.ndarray):
-    """Pivoted LU with exact-singularity converted to NumericalError."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", sla.LinAlgWarning)
-        try:
-            return sla.lu_factor(matrix)
-        except (sla.LinAlgWarning, np.linalg.LinAlgError) as exc:
-            raise NumericalError(f"kernel system is singular: {exc}") from exc
+    lu, pivots, info = dgetrf(work, overwrite_a=1)
+    if info > 0:
+        raise NumericalError(
+            f"kernel system is singular: Diagonal number {info} is exactly zero. Singular matrix."
+        )
+    x, _ = dgetrs(lu, pivots, rhs)
+    rcond, _ = dgecon(lu, norm_one, norm="1")
+    return x, 1.0 / rcond if rcond > 0.0 else math.inf
 
 
 def _banded_ratio(params: GameParams) -> float | None:
@@ -329,13 +339,17 @@ class _BandedSystem:
         return self.norm_one * max(estimate, alternate)
 
 
-def _audited(x: np.ndarray, cond: float, label: str) -> float:
-    """Finiteness and conditioning audit shared by every solve; returns cond."""
+def _audited(x: np.ndarray, cond: float, label: str, *args) -> float:
+    """Finiteness and conditioning audit shared by every solve; returns cond.
+
+    The solve is named by label.format(*args), formatted only when the audit
+    raises or warns.
+    """
     if not np.all(np.isfinite(x)):
-        raise NumericalError(f"linear solve for {label} produced non-finite entries")
+        raise NumericalError(f"linear solve for {label.format(*args)} produced non-finite entries")
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
-            f"condition estimate {cond:.3e} for {label} exceeds "
+            f"condition estimate {cond:.3e} for {label.format(*args)} exceeds "
             f"{CONDITION_WARN_THRESHOLD:.0e}; results may be inaccurate",
             IllConditionedWarning,
             stacklevel=4,
@@ -360,9 +374,20 @@ def _solve(
             if all(column is not None for column in columns):
                 x = np.column_stack(columns)
                 return x, _audited(x, system.condition(columns[0]), label), "banded"
-    lu = _lu_factor(matrix)
-    x = sla.lu_solve(lu, np.column_stack(rhs))
-    return x, _audited(x, _condition_estimate(matrix, lu), label), "lu"
+    x, cond = _lu_solve(
+        np.array(matrix, order="F"), np.column_stack(rhs), np.abs(matrix).sum(axis=0).max()
+    )
+    return x, _audited(x, cond, label), "lu"
+
+
+def _unit_sum(x: np.ndarray, label: str, *args) -> np.ndarray:
+    """x / sum(x), or NumericalError naming label.format(*args) when the sum is 0 or not finite."""
+    total = x.sum()
+    if total == 0.0 or not np.isfinite(total):
+        raise NumericalError(
+            f"normalization of {label.format(*args)} degenerate: entries sum to {total}"
+        )
+    return x / total
 
 
 def _solve_base_vector(
@@ -370,11 +395,7 @@ def _solve_base_vector(
 ) -> tuple[np.ndarray, float, str]:
     """Solve A x = 1 and normalize x to unit sum; returns (vector, condition, solver)."""
     x, cond, solver = _solve(matrix, label, ratio)
-    x = x[:, 0]
-    total = x.sum()
-    if total == 0.0 or not np.isfinite(total):
-        raise NumericalError(f"normalization of {label} degenerate: entries sum to {total}")
-    return x / total, cond, solver
+    return _unit_sum(x[:, 0], label), cond, solver
 
 
 def compute_v(matrices: KernelMatrices, n: int) -> np.ndarray:

@@ -167,7 +167,10 @@ class BachelierVariance:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", _positive_scalar(self.sigma, "sigma"))
+        sigma = _positive_scalar(self.sigma, "sigma")
+        if not np.isfinite(sigma * sigma):
+            raise ParameterError(f"sigma^2 overflows, got sigma = {sigma}")
+        object.__setattr__(self, "sigma", sigma)
 
     def eval(self, t):
         return self.sigma**2 * np.asarray(t, dtype=float)

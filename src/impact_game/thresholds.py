@@ -10,16 +10,21 @@ level by bisection on theta, for either base vector:
   * ``critical_theta_w``: the deviation vector w, whose threshold stays
     near 1/4 regardless of n.
 
-Each search runs on three grids, coarse to fine: N/4 and N/2 steps by a
-cold bisection, then the requested N steps from the Richardson guess
-theta_{N/2} + (theta_{N/2} - theta_{N/4}) / 2.  The full-grid search
-replays the cold bisection on answers predicted from the guess, probes the
-two ends of the bracket it reaches, and then runs the cold bisection on
-real answers, which the probes already made supply wherever they bracket
-theta.  Its result is the cold one; a good guess only saves probes.
-``evaluations`` counts the probes on all three grids.  Each probe is one
-dense LU solve with the condition audit of ``finite_game``, so an
-ill-conditioned probe warns with IllConditionedWarning.
+Each search runs on a chain of grids N, N/2, N/4, ..., coarse to fine.  The
+chain halves the steps while the halved grid keeps at least _CHAIN_FLOOR
+(32) steps and always holds the N/2 and N/4 grids.  The coarsest grid is
+searched by a cold bisection, and each finer grid from the Richardson
+guess theta_fine + (theta_fine - theta_coarse) / 2 of the two coarser
+thresholds.  A warm search replays the cold bisection on answers predicted
+from the guess, probes the two ends of the bracket it reaches, and then
+runs the cold bisection on real answers, which the probes already made
+supply wherever they bracket theta (theta = 0 included, once a probe above
+it oscillated).  Its result is the cold one; a good guess only saves
+probes, and costs 2 full-grid probes.  ``evaluations`` counts the probes on
+every grid of the chain.  Each probe is one dense LU solve, factored in
+place, with the singularity error and the condition audit of
+``finite_game``, so an ill-conditioned probe warns with
+IllConditionedWarning.
 
 ``sweep`` runs a batch of searches across parameter points, optionally in
 threads (the inner linear algebra releases the GIL).
@@ -36,7 +41,14 @@ from typing import Literal
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .finite_game import _check_dense_steps, _combined, _solve_base_vector, build_matrices
+from .finite_game import (
+    _audited,
+    _check_dense_steps,
+    _combined,
+    _lu_solve,
+    _unit_sum,
+    build_matrices,
+)
 from .market_model import (
     BachelierVariance,
     DecayKernel,
@@ -60,6 +72,9 @@ __all__ = [
 
 #: components are called negative only below -OSCILLATION_RTOL * max|component|
 OSCILLATION_RTOL = 1e-12
+
+# the coarse-grid chain halves the steps while the halved grid keeps at least this many
+_CHAIN_FLOOR = 32
 
 
 @dataclass(frozen=True)
@@ -121,35 +136,44 @@ class _BaseVectorProbe:
     """Evaluate a base vector across theta values, reusing the theta-free part.
 
     The kernel matrix enters theta only on the diagonal (a 2 theta shift), so
-    the combination to invert is assembled once at theta = 0 and shifted per
-    evaluation.
+    the combination to invert is assembled once at theta = 0, in Fortran
+    order, and each evaluation copies it, shifts the copy's diagonal and
+    factors the copy in place.  ||A||_1 comes in O(N) from the cached
+    off-diagonal column sums and the shifted diagonal.  The solve is the
+    dense LU of finite_game with its singularity error, finiteness check and
+    condition audit, bit for bit.
     """
 
     def __init__(
         self,
         which: str,
         n: int,
-        steps: int,
+        grid: TimeGrid,
         gamma: float,
         kernel: DecayKernel,
         variance: VarianceFunction,
     ):
         if which not in ("v", "w"):
             raise ParameterError(f"which must be 'v' or 'w', got {which!r}")
-        _check_dense_steps(steps)
-        grid = TimeGrid.equidistant(steps)
         params = GameParams(
             n=n, gamma=gamma, theta=0.0, kernel=kernel, variance=variance, grid=grid
         )
-        self.base = _combined(build_matrices(params), n - 1 if which == "v" else -1)
+        self.base = _combined(build_matrices(params), n - 1 if which == "v" else -1, "F")
+        self._diagonal = self.base.diagonal().copy()
+        magnitudes = np.abs(self.base)
+        np.fill_diagonal(magnitudes, 0.0)
+        self._off_diagonal = magnitudes.sum(axis=0)
         self.evaluations = 0
 
     def vector_at(self, theta: float) -> np.ndarray:
         self.evaluations += 1
-        matrix = self.base.copy()
-        matrix.flat[:: matrix.shape[0] + 1] += 2.0 * theta
-        vector, _, _ = _solve_base_vector(matrix, f"the base vector at theta = {theta}")
-        return vector
+        diagonal = self._diagonal + 2.0 * theta
+        work = self.base.copy(order="F")
+        np.fill_diagonal(work, diagonal)
+        norm_one = (self._off_diagonal + np.abs(diagonal)).max()
+        x, cond = _lu_solve(work, np.ones(diagonal.size), norm_one)
+        _audited(x, cond, "the base vector at theta = {}", theta)
+        return _unit_sum(x, "the base vector at theta = {}", theta)
 
     def monotone_at(self, theta: float) -> bool:
         return not oscillation_report(self.vector_at(theta)).oscillating
@@ -185,22 +209,22 @@ def _search(
 ):
     """Bisect the oscillating/monotone boundary; returns (theta*, bracket).
 
-    The result is always the cold search's (``_bisect``) on real answers:
-    probe solves, or answers that the probes made so far imply (theta at or
-    below an oscillating probe, or at or above a monotone one).  Wherever
+    The result is always the cold search's on real answers: (0, (0, 0)) when
+    the vector is monotone at theta = 0, else ``_bisect``.  A real answer is
+    a probe solve, or the answer that the probes made so far imply (theta at
+    or below an oscillating probe, or at or above a monotone one).  Wherever
     the classification is monotone in theta, implied answers are real ones,
     so a guess changes only which probes are spent.  With a guess, the cold
     search is first replayed on predicted answers (theta > guess) and both
     ends of its bracket are probed, the end in the direction of travel
-    first (the lower end on the first replay).  When both hold, every answer of the replay is implied and the
-    real search costs no further probe.  When one fails, the guess gallops
-    past it by the bracket width, then by 2, 4 and 8 times that; galloping
-    stops early when the direction flips or the replay ends on adjacent
-    doubles.
+    first (the lower end on the first replay).  When both hold, every answer
+    of the replay is implied and the real search costs no further probe, not
+    even at theta = 0 when the lower end oscillates.  When one fails, the
+    guess gallops past it by the bracket width, then by 2, 4 and 8 times
+    that; galloping stops early when the direction flips or the replay ends
+    on adjacent doubles.
     """
-    if probe.monotone_at(0.0):
-        return 0.0, (0.0, 0.0)
-    seen = [0.0, math.inf]  # largest oscillating and smallest monotone theta probed
+    seen = [-math.inf, math.inf]  # largest oscillating and smallest monotone theta probed
 
     def answer(theta: float, predict: bool) -> bool:
         if seen[0] < theta < seen[1]:
@@ -222,8 +246,23 @@ def _search(
         if turn in (0, -direction) or hi - lo > resolution:
             break  # certified, turned back, or at adjacent doubles where no step is finer
         guess, direction = failed + turn * 2.0**gallop * (hi - lo), turn
+    if answer(0.0, False):
+        return 0.0, (0.0, 0.0)
     lo, hi = _bisect(lambda theta: answer(theta, False), upper_start, resolution)
     return 0.5 * (lo + hi), (lo, hi)
+
+
+def _richardson(thresholds: list[float]) -> float | None:
+    """theta + (theta - theta_coarse) / 2 from the last two thresholds, coarse to fine.
+
+    theta* drifts linearly in the step size, so this extrapolates to the
+    grid with half the steps.  None, for a cold search, with fewer than two
+    thresholds or a 0 among them (a monotone or failed coarse search).
+    """
+    if len(thresholds) < 2 or 0.0 in thresholds[-2:]:
+        return None
+    coarse, fine = thresholds[-2:]
+    return fine + 0.5 * (fine - coarse)
 
 
 def _critical_theta(
@@ -235,12 +274,16 @@ def _critical_theta(
     variance: VarianceFunction | None,
     resolution: float,
 ) -> ThresholdResult:
-    """Quarter-, half- and full-grid searches, coarse to fine, for either base vector.
+    """Searches on a chain of grids N, N/2, N/4, ..., coarse to fine, for either base vector.
 
-    The full-grid search starts from the Richardson guess
-    theta_half + (theta_half - theta_quarter) / 2, since theta* drifts
-    linearly in the step size; it runs cold when either coarse threshold is
-    0 or the quarter grid equals the half grid.
+    The chain halves the steps while the halved grid keeps at least
+    _CHAIN_FLOOR steps, and it always holds the N/2 and N/4 grids.  The time
+    grids are built fine to coarse, after the full grid's size is checked,
+    and each grid's matrix only when its search starts.  The coarsest grid
+    is searched cold and each finer one from the Richardson guess of the two
+    coarser thresholds; a coarse grid below N/2 whose search fails, or whose
+    size equals that of the next finer grid, gives no guess.  evaluations
+    counts the probes on every grid.
     """
     n = _integer_at_least(n, 1, "n")
     steps = _integer_at_least(steps, 1, "steps")
@@ -250,28 +293,39 @@ def _critical_theta(
     variance = BachelierVariance(1.0) if variance is None else variance
     upper = max(1.0, float(n))
 
-    probe, coarse_probe, quarter_probe = (
-        _BaseVectorProbe(which, n, max(1, steps // d), gamma, kernel, variance) for d in (1, 2, 4)
-    )
-    theta_quarter = 0.0
-    if len(quarter_probe.base) != len(coarse_probe.base):
+    _check_dense_steps(steps)
+    sizes = [steps, max(1, steps // 2)]
+    while len(sizes) < 3 or sizes[-1] // 2 >= _CHAIN_FLOOR:
+        sizes.append(max(1, sizes[-1] // 2))
+    grids = [TimeGrid.equidistant(size) for size in sizes]
+    spent = []  # probes of each search
+
+    def search(depth: int, guess: float | None = None):
+        # a grid's matrix lives only for its search: freed memory is reused by
+        # the next, larger grid instead of piling up in worker-thread heaps
+        probe = _BaseVectorProbe(which, n, grids[depth], gamma, kernel, variance)
         try:
-            theta_quarter, _ = _search(quarter_probe, upper, resolution)
+            return _search(probe, upper, resolution, guess)
+        finally:
+            spent.append(probe.evaluations)
+
+    thresholds = []  # coarse to fine
+    for depth in range(len(grids) - 1, 0, -1):
+        if depth > 1 and sizes[depth] == sizes[depth - 1]:
+            continue
+        try:
+            thresholds.append(search(depth, _richardson(thresholds))[0])
         except NumericalError:
-            pass  # no guess: the full grid searches cold
-    try:
-        theta_coarse, _ = _search(coarse_probe, upper, resolution)
-    except NumericalError:
-        _search(probe, upper, resolution)  # the full grid's own failure takes precedence
-        raise
-    guess = theta_coarse + 0.5 * (theta_coarse - theta_quarter)
-    if theta_quarter == 0.0 or theta_coarse == 0.0:
-        guess = None
-    theta_star, bracket = _search(probe, upper, resolution, guess)
+            if depth == 1:
+                search(0)  # the full grid's own failure takes precedence
+                raise
+            thresholds.append(0.0)  # no guess from this grid
+    theta_coarse = thresholds[-1]
+    theta_star, bracket = search(0, _richardson(thresholds))
     return ThresholdResult(
         theta_star=theta_star,
         bracket=bracket,
-        evaluations=probe.evaluations + coarse_probe.evaluations + quarter_probe.evaluations,
+        evaluations=sum(spent),
         steps=steps,
         gamma=gamma,
         which=which,  # type: ignore[arg-type]
@@ -292,7 +346,7 @@ def critical_theta_v(
     """Critical theta above which the symmetric base vector stops oscillating.
 
     Runs on the equidistant grid with the given number of trading steps,
-    warm-started from searches with a quarter and half the steps; the result
+    warm-started from searches with half, a quarter, ... of the steps; the result
     is flagged converged when the full- and half-steps thresholds agree
     within twice the resolution.
     """

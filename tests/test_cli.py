@@ -83,6 +83,13 @@ class TestEquilibrium:
         assert out == ""
         assert "side 61" in err
 
+    def test_overflowing_kernel_matrix_exits_2(self, capsys):
+        argv = ["equilibrium", "--n", "2", "--N", "10", "--gamma", "1e308", "--sigma", "10",
+                "--theta", "0"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "overflow" in err
+
     def test_zero_steps_with_negative_horizon_exits_2(self, capsys):
         code, _, err = run(capsys, ["equilibrium", "--N", "0", "--horizon", "-3"])
         assert code == 2
@@ -158,6 +165,18 @@ class TestThresholds:
         code, _, err = run(capsys, ["thresholds", *spec])
         assert code == 2
         assert "error" in err
+
+    def test_overflowing_point_fails_alone(self, capsys):
+        argv = ["thresholds", "--which", "w", "--N", "10", "--gamma", "1e308,1", "--sigma", "10"]
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        error = header.index("error")
+        assert "overflow" in rows[0][error]
+        assert rows[0][header.index("theta_star")] == "nan"
+        assert rows[1][error] == ""
+        assert float(rows[1][header.index("theta_star")]) >= 0.0
+        assert "gamma=1e+308 failed" in err
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(

@@ -189,6 +189,31 @@ class TestBuildMatrices:
         assert not np.shares_memory(mats.full, full)
         assert not mats.full.flags.writeable
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_user_built_matrices_must_be_finite(self, bad):
+        broken = np.eye(3)
+        broken[2, 0] = bad
+        with pytest.raises(ParameterError, match="full must be finite"):
+            KernelMatrices(full=broken, tilde=np.eye(3))
+        with pytest.raises(ParameterError, match="tilde must be finite"):
+            KernelMatrices(full=np.eye(3), tilde=broken)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"gamma": 1e308, "variance": BachelierVariance(10.0)}, {"theta": 1e308}],
+        ids=["gamma-phi", "theta"],
+    )
+    def test_overflowing_entries_rejected_before_allocation(self, overrides):
+        params = make_params(grid=TimeGrid.equidistant(2000), **overrides)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="overflow"):
+                build_matrices(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestBaseVectors:
     def test_unit_normalization(self):

@@ -158,7 +158,7 @@ class TestVarianceFunctions:
         )
 
     def test_bachelier_validation(self):
-        for bad in (0.0, -1.0, np.nan):
+        for bad in (0.0, -1.0, np.nan, 1e200):  # 1e200 squared overflows
             with pytest.raises(ParameterError):
                 BachelierVariance(bad)
 

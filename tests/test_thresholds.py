@@ -11,13 +11,14 @@ from impact_game import (
     NumericalError,
     ParameterError,
     PowerLawKernel,
+    TimeGrid,
     critical_theta_infinite,
     critical_theta_v,
     critical_theta_w,
     oscillation_report,
     sweep,
 )
-from impact_game import thresholds
+from impact_game import finite_game, thresholds
 from impact_game.thresholds import _BaseVectorProbe, _search
 
 
@@ -78,7 +79,7 @@ class TestCriticalThetaV:
         result = critical_theta_v(2, 80, 0.0)
         assert result.theta_star > 0.0
         probe = _BaseVectorProbe(
-            "v", 2, 80, 0.0, ExponentialKernel(1.0), BachelierVariance(1.0)
+            "v", 2, TimeGrid.equidistant(80), 0.0, ExponentialKernel(1.0), BachelierVariance(1.0)
         )
         lo, hi = result.bracket
         assert oscillation_report(probe.vector_at(lo)).oscillating
@@ -148,7 +149,7 @@ class TestCriticalThetaW:
         assert 0.0 < lo < hi
         assert np.nextafter(lo, np.inf) == hi
         probe = _BaseVectorProbe(
-            "w", 1, 5, 0.0, ExponentialKernel(1.0), BachelierVariance(1.0)
+            "w", 1, TimeGrid.equidistant(5), 0.0, ExponentialKernel(1.0), BachelierVariance(1.0)
         )
         assert oscillation_report(probe.vector_at(lo)).oscillating
         assert not oscillation_report(probe.vector_at(hi)).oscillating
@@ -204,9 +205,11 @@ class _StepProbe:
     def __init__(self, boundary):
         self.boundary = boundary
         self.evaluations = 0
+        self.probed = []
 
     def monotone_at(self, theta):
         self.evaluations += 1
+        self.probed.append(theta)
         return theta >= self.boundary
 
 
@@ -230,7 +233,8 @@ class TestWarmSearch:
         upper = float(n)
 
         def probe(steps):
-            return _BaseVectorProbe(which, n, steps, 0.5, kernel, BachelierVariance(1.0))
+            grid = TimeGrid.equidistant(steps)
+            return _BaseVectorProbe(which, n, grid, 0.5, kernel, BachelierVariance(1.0))
 
         cold = _search(probe(80), upper, resolution)
         theta = cold[0]
@@ -270,7 +274,7 @@ class TestWarmSearch:
         # theta = 0 and the two ends of the bracket, also where they are
         # adjacent doubles
         probe = _BaseVectorProbe(
-            "w", 1, 40, 0.0, ExponentialKernel(1.0), BachelierVariance(1.0)
+            "w", 1, TimeGrid.equidistant(40), 0.0, ExponentialKernel(1.0), BachelierVariance(1.0)
         )
         cold = _search(probe, upper, resolution)
         cold_probes = probe.evaluations
@@ -281,7 +285,7 @@ class TestWarmSearch:
 
     def test_distant_guess_costs_at_most_eight_probes_more(self):
         probe = _BaseVectorProbe(
-            "w", 1, 40, 0.0, ExponentialKernel(1.0), BachelierVariance(1.0)
+            "w", 1, TimeGrid.equidistant(40), 0.0, ExponentialKernel(1.0), BachelierVariance(1.0)
         )
         cold = _search(probe, 1.0, 1e-12)
         cold_probes = probe.evaluations
@@ -289,6 +293,14 @@ class TestWarmSearch:
             probe.evaluations = 0
             assert _search(probe, 1.0, 1e-12, guess) == cold, guess
             assert probe.evaluations <= cold_probes + 8, guess
+
+    def test_oscillating_replayed_end_spares_the_theta_zero_probe(self):
+        cold_probe, warm_probe = _StepProbe(0.3), _StepProbe(0.3)
+        cold = _search(cold_probe, 1.0, 1e-4)
+        assert cold_probe.probed[0] == 0.0
+        assert _search(warm_probe, 1.0, 1e-4, 0.3) == cold
+        assert 0.0 not in warm_probe.probed
+        assert warm_probe.evaluations == 2
 
     def test_power_law_search_spends_few_full_grid_probes(self, monkeypatch):
         sizes = []
@@ -301,7 +313,10 @@ class TestWarmSearch:
         monkeypatch.setattr(thresholds._BaseVectorProbe, "vector_at", counted)
         result = critical_theta_v(3, 400, 0.5, kernel=PowerLawKernel(1.0))
         assert result.evaluations == len(sizes)
+        # the chain is 400, 200, 100, 50 steps; the N/2 grid is warm-started too
+        assert sorted(set(sizes)) == [51, 101, 201, 401]
         assert sizes.count(401) <= 6
+        assert sizes.count(201) <= 8
 
     def test_full_grid_error_takes_precedence(self, monkeypatch):
         def fail(self, theta):
@@ -310,3 +325,102 @@ class TestWarmSearch:
         monkeypatch.setattr(thresholds._BaseVectorProbe, "monotone_at", fail)
         with pytest.raises(NumericalError, match="on 41 points"):
             critical_theta_w(40, 0.0)
+
+
+def _shifted(probe, theta):
+    """The probe's matrix at theta as the dense C-ordered array finite_game solves."""
+    matrix = np.ascontiguousarray(probe.base)
+    matrix.flat[:: matrix.shape[0] + 1] += 2.0 * theta
+    return matrix
+
+
+class TestProbe:
+    """The in-place probe solve is the dense LU solve of finite_game, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.sampled_from([ExponentialKernel(1.3), PowerLawKernel(0.7)]),
+        which=st.sampled_from(["v", "w"]),
+        n=st.integers(1, 6),
+        steps=st.integers(1, 200),
+        gamma=st.floats(0.0, 3.0),
+        thetas=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3),
+    )
+    def test_vector_equals_the_dense_solve(self, kernel, which, n, steps, gamma, thetas):
+        grid = TimeGrid.equidistant(steps)
+        probe = _BaseVectorProbe(which, n, grid, gamma, kernel, BachelierVariance(1.0))
+        for theta in thetas:  # one work buffer serves every theta
+            expected, _, solver = finite_game._solve_base_vector(_shifted(probe, theta), "x")
+            assert solver == "lu"
+            assert np.array_equal(probe.vector_at(theta), expected)
+
+    def test_condition_matches_the_dense_estimate(self, monkeypatch):
+        conditions = []
+        lu_solve = thresholds._lu_solve
+
+        def recorded(*args):
+            x, cond = lu_solve(*args)
+            conditions.append(cond)
+            return x, cond
+
+        monkeypatch.setattr(thresholds, "_lu_solve", recorded)
+        for kernel in (ExponentialKernel(0.4), PowerLawKernel(1.5)):
+            grid = TimeGrid.equidistant(150)
+            probe = _BaseVectorProbe("v", 3, grid, 0.8, kernel, BachelierVariance(1.0))
+            for theta in (0.0, 0.05, 1.7):
+                probe.vector_at(theta)
+                _, expected, _ = finite_game._solve(_shifted(probe, theta), "x")
+                assert conditions[-1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_exactly_singular_probe_raises(self):
+        # every kernel entry rounds to 1.0, so the single-agent matrix is singular at theta = 0
+        grid = TimeGrid.equidistant(30)
+        probe = _BaseVectorProbe("v", 1, grid, 0.0, ExponentialKernel(1e-16), BachelierVariance(1.0))
+        with pytest.raises(NumericalError, match="singular"):
+            probe.vector_at(0.0)
+
+
+# parent-commit outputs of the cold quarter/half/full search, pinned to the bit:
+# (which, n, steps, gamma, kernel, parameter, resolution,
+#  theta_star, bracket, converged, theta_star_coarse)
+PINNED = [
+    ("v", 5, 427, 0.1, "exp", 1.6, 1e-4, 0.9924697875976562,
+     (0.992431640625, 0.9925079345703125), False, 0.9849166870117188),
+    ("w", 1, 410, 2.31, "exp", 1.5, 1e-4, 0.245330810546875,
+     (0.24530029296875, 0.245361328125), False, 0.240692138671875),
+    ("v", 3, 42, 2.91, "power", 1.8, 1e-4, 0.4709930419921875,
+     (0.470947265625, 0.471038818359375), False, 0.4404144287109375),
+    ("w", 1, 286, 0.47, "power", 0.87, 1e-4, 0.247650146484375,
+     (0.24761962890625, 0.2476806640625), False, 0.245330810546875),
+    ("v", 3, 55, 2.29, "exp", 0.76, 5e-3, 0.49365234375,
+     (0.4921875, 0.4951171875), True, 0.48486328125),
+    ("w", 1, 43, 2.45, "exp", 0.7, 5e-3, 0.212890625,
+     (0.2109375, 0.21484375), False, 0.173828125),
+    ("v", 4, 48, 0.43, "power", 1.11, 5e-3, 0.712890625,
+     (0.7109375, 0.71484375), False, 0.677734375),
+    ("w", 1, 399, 1.46, "power", 1.76, 5e-3, 0.244140625,
+     (0.2421875, 0.24609375), True, 0.240234375),
+    ("v", 4, 78, 2.12, "exp", 0.58, 1e-4, 0.743011474609375,
+     (0.74298095703125, 0.7430419921875), False, 0.735748291015625),
+    ("w", 1, 151, 1.65, "exp", 1.42, 1e-4, 0.239837646484375,
+     (0.23980712890625, 0.2398681640625), False, 0.229644775390625),
+    ("v", 3, 237, 2.59, "power", 1.27, 1e-4, 0.4964447021484375,
+     (0.49639892578125, 0.496490478515625), False, 0.4927825927734375),
+    ("w", 1, 315, 0.33, "power", 0.59, 1e-4, 0.248565673828125,
+     (0.24853515625, 0.24859619140625), False, 0.247100830078125),
+    ("v", 2, 600, 1.0, "power", 1.0, 1e-4, 0.249298095703125,
+     (0.249267578125, 0.24932861328125), False, 0.248565673828125),
+    ("w", 1, 600, 0.0, "exp", 1.0, 5e-3, 0.248046875, (0.24609375, 0.25), True, 0.248046875),
+]
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda case: f"{case[0]}-{case[4]}-N{case[2]}")
+def test_chain_search_matches_pinned_cold_results(case):
+    which, n, steps, gamma, kind, parameter, resolution, *expected = case
+    kernel = ExponentialKernel(parameter) if kind == "exp" else PowerLawKernel(parameter)
+    if which == "v":
+        result = critical_theta_v(n, steps, gamma, kernel, resolution=resolution)
+    else:
+        result = critical_theta_w(steps, gamma, kernel, resolution=resolution)
+    got = [result.theta_star, result.bracket, result.converged, result.theta_star_coarse]
+    assert got == expected
