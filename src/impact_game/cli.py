@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -384,9 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser unchanged, so one instance serves every main() call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon, dgetrf, dgetrs
 
 from .errors import IllConditionedWarning, NumericalError, ParameterError
 from .market_model import (
@@ -95,6 +94,28 @@ _BACKWARD_ERROR_LIMIT = 8.0 * np.finfo(float).eps
 
 # most refinement steps of a banded solve
 _REFINEMENT_STEPS = 3
+
+# LAPACK routines bound as module globals by the first solve: scipy.linalg is
+# most of the package's import time, and `infinite` and `--help` never solve
+_LAPACK_ROUTINES = ("dgbtrf", "dgbtrs", "dgecon", "dgetrf", "dgetrs")
+
+
+@functools.cache
+def _load_lapack() -> None:
+    """Bind the LAPACK routines once; a routine bound already (patched) is kept."""
+    from scipy.linalg import lapack
+
+    namespace = globals()
+    for name in _LAPACK_ROUTINES:
+        namespace.setdefault(name, getattr(lapack, name))
+
+
+def __getattr__(name: str):
+    # reading finite_game.dgbtrf before any solve loads LAPACK as well
+    if name in _LAPACK_ROUTINES:
+        _load_lapack()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -195,6 +216,7 @@ def _lu_solve(work: np.ndarray, rhs: np.ndarray, norm_one: float) -> tuple[np.nd
     ||A^{-1}||_1 on the factors (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 15).  Exact singularity raises NumericalError.
     """
+    _load_lapack()
     lu, pivots, info = dgetrf(work, overwrite_a=1)
     if info > 0:
         raise NumericalError(
@@ -247,6 +269,7 @@ class _BandedSystem:
     """
 
     def __init__(self, matrix: np.ndarray, ratio: float):
+        _load_lapack()
         size = matrix.shape[0]
         width = size + 2
         self.matrix = matrix

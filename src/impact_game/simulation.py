@@ -15,16 +15,22 @@ normals Z and increment deviations sd, so summing by parts
     xi_i . S0 = s0 sum_k xi_{i,k} + Z . W_i,   W_{j,i} = sd_j sum_{k>=j} xi_{i,k},
 
 and a batch of paths is priced by one product Z @ W without forming the
-paths.  One call draws its sample once from a single seeded generator,
-in row chunks of at most _CHUNK_VALUES normals; chunked draws equal one
-large draw bit for bit, so only the (count, n) cost matrix grows with
-count, and it is capped at _MAX_SAMPLE_COSTS entries.
+paths.  One call draws its sample once, in blocks of max(1, _BLOCK_VALUES
+// (N + 1)) paths.  Block b draws from its own generator, seeded by
+SeedSequence(seed, spawn_key=(b,)) (parallel streams keyed by block:
+L'Ecuyer et al., Random numbers for parallel computers, Math. Comput.
+Simul. 135, 2017), and prices its rows into its slice of the cost matrix.
+Blocks run on worker threads, at most _BLOCKS_IN_FLIGHT at once, so the
+sample depends on (seed, count, N) alone, not on the thread count.  Only
+the (count, n) cost matrix grows with count, and it is capped at
+_MAX_SAMPLE_COSTS entries.
 
 Closed-form targets for the mean come from the gamma = 0 kernel matrices;
 the variance target is xi' Phi xi with Phi_{kl} = phi(t_k ^ t_l), which
-tests the model identity rather than the sampler.  Reductions use
-compensated summation so reported moments do not depend on accumulation
-order.
+tests the model identity rather than the sampler.  Sample means use
+compensated summation (math.fsum), so they do not depend on accumulation
+order; sums of nonnegative terms (squared and fourth-power deviations)
+cannot cancel and use numpy's pairwise sum.
 
 Contents
 --------
@@ -45,6 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._workers import ordered_map, worker_count
 from .errors import ParameterError
 from .finite_game import _strategy_like, build_matrices
 from .market_model import (
@@ -70,8 +77,12 @@ __all__ = [
 # exponents beyond this switch the utility comparison to log space
 _EXP_GUARD = 500.0
 
-# normals drawn per chunk (8 MB of float64); memory grows with neither count nor N
-_CHUNK_VALUES = 2**20
+# normals drawn per block (4 MB of float64); block b's stream depends on (seed, b) only
+_BLOCK_VALUES = 2**19
+
+# blocks drawn at once whatever the thread count, so draw memory stays at
+# 8 MB and grows with neither count, N nor the machine
+_BLOCKS_IN_FLIGHT = 2
 
 # largest count * n cost matrix one sample may hold (0.8 GB of float64)
 _MAX_SAMPLE_COSTS = 10**8
@@ -191,9 +202,9 @@ def _increment_stds(params: GameParams) -> np.ndarray:
 def simulate_paths(params: GameParams, strategies: Sequence, count: int, seed: int) -> CostBatch:
     """Simulate `count` unaffected paths and realize every agent's costs on each.
 
-    Row p of the batch is path p.  Gaussian increments come from a single
-    seeded generator, so the batch is reproducible bit for bit given
-    (seed, count).
+    Row p of the batch is path p.  Gaussian increments come from one
+    seeded generator per block of rows, so the batch is reproducible bit
+    for bit given (seed, count, grid length), whatever the thread count.
     """
     count = _integer_at_least(count, 1, "count")
     seed = _integer_at_least(seed, 0, "seed")
@@ -207,13 +218,17 @@ def simulate_paths(params: GameParams, strategies: Sequence, count: int, seed: i
     # cost[p] = base - Z[p] @ weights, the summation by parts of the module docstring
     weights = _increment_stds(params)[:, None] * np.cumsum(trades[::-1], axis=0)[::-1]
     base = fixed - params.s0 * trades.sum(axis=0)
-    rng = np.random.default_rng(seed)
     costs = np.empty((count, n))
-    rows = max(1, _CHUNK_VALUES // m)
-    for start in range(0, count, rows):
-        chunk = costs[start:start + rows]
+    rows = max(1, _BLOCK_VALUES // m)
+
+    def price_block(block: int) -> None:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+        chunk = costs[block * rows:(block + 1) * rows]
         np.matmul(rng.standard_normal((chunk.shape[0], m)), weights, out=chunk)
         np.subtract(base, chunk, out=chunk)
+
+    blocks = -(-count // rows)
+    ordered_map(price_block, range(blocks), min(worker_count(None, blocks), _BLOCKS_IN_FLIGHT))
     return CostBatch(costs=costs, seed=seed)
 
 
@@ -288,6 +303,11 @@ def _mean(values: np.ndarray) -> float:
     return math.fsum(values.tolist()) / values.size
 
 
+def _mean_square(values: np.ndarray) -> float:
+    """Mean of values**2 by numpy's pairwise sum: nonnegative terms do not cancel."""
+    return float(np.square(values).sum()) / values.size
+
+
 def _sample(params: GameParams, strategies: Sequence, count, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One drawn sample: the (count, n) costs and their closed-form means and variances."""
     costs = simulate_paths(params, strategies, count, seed).costs
@@ -303,9 +323,9 @@ def _moment_reports(
     for i in range(costs.shape[1]):
         c = costs[:, i]
         mean = _mean(c)
-        centered = c - mean
-        m2 = _mean(centered**2)
-        m4 = _mean(centered**4)
+        squared = np.square(c - mean)
+        m2 = float(squared.sum()) / count
+        m4 = _mean_square(squared)
         sample_var = m2 * count / (count - 1) if count > 1 else 0.0
         se_mean = math.sqrt(m2 / count)
         se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / count)
@@ -342,7 +362,7 @@ def _cara_report(agent: int, gamma: float, c: np.ndarray, mean: float, var: floa
         # risk-neutral limit of the utility: u(x) = x, applied to wealth -cost
         sample = -_mean(c)
         centered = c + sample
-        se = math.sqrt(_mean(centered**2) / count)
+        se = math.sqrt(_mean_square(centered) / count)
         return CaraReport(
             agent=agent, count=count, mode="linear",
             sample=sample, target=-mean, se=se, z=_z_score(sample + mean, se),
@@ -354,7 +374,7 @@ def _cara_report(agent: int, gamma: float, c: np.ndarray, mean: float, var: floa
         sample = _mean(utilities)
         target = (1.0 - math.exp(log_target)) / gamma
         centered = utilities - sample
-        se = math.sqrt(_mean(centered**2) / count)
+        se = math.sqrt(_mean_square(centered) / count)
         return CaraReport(
             agent=agent, count=count, mode="direct",
             sample=sample, target=target, se=se, z=_z_score(sample - target, se),
@@ -366,7 +386,7 @@ def _cara_report(agent: int, gamma: float, c: np.ndarray, mean: float, var: floa
     sample = shift + math.log(scaled_mean)
     centered = scaled - scaled_mean
     # delta method: se(log m) = se(m) / m
-    se = math.sqrt(_mean(centered**2) / count) / scaled_mean
+    se = math.sqrt(_mean_square(centered) / count) / scaled_mean
     return CaraReport(
         agent=agent, count=count, mode="log",
         sample=sample, target=log_target, se=se, z=_z_score(sample - log_target, se),

@@ -33,13 +33,12 @@ threads (the inner linear algebra releases the GIL).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
+from ._workers import ordered_map, worker_count
 from .errors import NumericalError, ParameterError
 from .finite_game import (
     _audited,
@@ -403,23 +402,6 @@ def _run_point(
         return _failed_point(point, which, str(exc))
 
 
-def _worker_count(requested: int | None, jobs: int) -> int:
-    if requested is None:
-        env = os.environ.get("IMPACT_GAME_THREADS", "").strip()
-        if env:
-            try:
-                requested = int(env)
-            except ValueError:
-                raise ParameterError(
-                    f"IMPACT_GAME_THREADS must be an integer, got {env!r}"
-                ) from None
-        else:
-            requested = os.cpu_count() or 1
-    if requested < 1:
-        raise ParameterError(f"worker count must be >= 1, got {requested}")
-    return min(requested, max(jobs, 1))
-
-
 def sweep(
     points,
     which: Literal["v", "w"],
@@ -440,11 +422,8 @@ def sweep(
     points = list(points)
     if not points:
         return []
-    workers = _worker_count(max_workers, len(points))
-    if workers == 1:
-        return [_run_point(p, which, kernel, variance, resolution) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_point, p, which, kernel, variance, resolution) for p in points
-        ]
-        return [f.result() for f in futures]
+    return ordered_map(
+        lambda point: _run_point(point, which, kernel, variance, resolution),
+        points,
+        worker_count(max_workers, len(points)),
+    )

@@ -51,6 +51,8 @@ class TestPathCosts:
         strategies = list(trades.T)
         fixed = realized_costs(params, strategies, np.zeros(4))
         stds = np.sqrt(np.diff(params.phi_at_grid(), prepend=0.0))
-        paths = params.s0 + np.cumsum(np.random.default_rng(5).standard_normal((3, 4)) * stds, axis=1)
+        # 3 paths fit in block 0, which draws from the seed's block-0 stream
+        normals = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0,))).standard_normal((3, 4))
+        paths = params.s0 + np.cumsum(normals * stds, axis=1)
         costs = simulate_paths(params, strategies, 3, 5).costs
         np.testing.assert_allclose(costs, fixed[None, :] - paths @ trades, rtol=1e-14, atol=1e-14)

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from impact_game import TimeGrid, cli, finite_game, infinite_game, simulation
+import impact_game
+from impact_game import TimeGrid, cli, finite_game, infinite_game, nash_equilibrium, simulation
 from impact_game.cli import main
 
 ALPHA_N1_UNIT = 0.561952002379033
@@ -319,6 +324,46 @@ class TestMonteCarlo:
         monkeypatch.setattr(simulation, "realized_costs", counting)
         assert run(capsys, self.ARGS)[0] == 0
         assert len(calls) == 1
+
+
+    def test_two_calls_in_one_process_write_independent_outputs(self, capsys, tmp_path):
+        # main() reuses one parser: flags of one call must not reach the next
+        calls = [
+            (self.ARGS + ["--inventories", "1,2", "--out", str(tmp_path / "a.json")], 7),
+            (["montecarlo", "--N", "5", "--count", "300", "--seed", "8",
+              "--out", str(tmp_path / "b.json")], 8),
+        ]
+        for argv, _ in calls:
+            assert run(capsys, argv) == (0, "", "")
+        for argv, seed in calls:
+            report = json.loads(pathlib.Path(argv[-1]).read_text())
+            params = cli._params_from_args(cli.build_parser().parse_args(argv))
+            inventories = [1.0, 2.0] if seed == 7 else [1.0, 1.0]
+            eq = nash_equilibrium(params, inventories)
+            expected = simulation.validate_moments(params, eq.strategies, 300, seed)
+            assert (report["seed"], report["inventories"]) == (seed, inventories)
+            assert report["moments"] == [r.to_dict() for r in expected]
+
+
+class TestLazyLapack:
+    def test_import_and_infinite_leave_scipy_unloaded(self):
+        script = (
+            "import json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import impact_game\n"
+            "after_import = scipy_modules()\n"
+            "from impact_game.cli import main\n"
+            "code = main(['infinite', '--n', '2', '--gamma', '1'])\n"
+            "print(json.dumps([code, after_import, scipy_modules()]), file=sys.stderr)\n"
+        )
+        src = str(pathlib.Path(impact_game.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert json.loads(proc.stderr.strip().splitlines()[-1]) == [0, [], []]
 
 
 class TestStepLimit:

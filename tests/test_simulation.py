@@ -1,5 +1,6 @@
 """Monte Carlo cost machinery: paths, realized costs, moment and utility checks."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -46,6 +47,11 @@ def make_params(
         grid=TimeGrid.equidistant(steps),
         s0=s0,
     )
+
+
+def block_normals(seed, block, shape):
+    """The standard normals that simulate_paths draws for one block of rows."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,))).standard_normal(shape)
 
 
 def zero_variance(horizon=1.0):
@@ -168,30 +174,34 @@ class TestSimulatePaths:
 
     def test_accelerated_batch_matches_direct_pricing(self):
         # the batch prices every path with one matrix product; rebuild the
-        # seeded paths and price each one by the direct per-time sum
+        # seeded paths (4 paths fit in block 0) and price each one by the
+        # direct per-time sum
         params = make_params(n=2, steps=5, theta=0.3, s0=2.0)
         trades = np.random.default_rng(11).normal(size=(6, 2))
         strategies = list(trades.T)
         batch = simulate_paths(params, strategies, 4, 12)
         stds = np.sqrt(np.diff(params.phi_at_grid(), prepend=0.0))
-        increments = np.random.default_rng(12).standard_normal((4, 6)) * stds
+        increments = block_normals(12, 0, (4, 6)) * stds
         paths = params.s0 + np.cumsum(increments, axis=1)
         direct = np.array([realized_costs(params, strategies, path) for path in paths])
         np.testing.assert_allclose(batch.costs, direct, rtol=1e-12, atol=1e-12)
 
     def test_chunk_boundaries_continue_one_stream(self, monkeypatch):
-        # 6 grid values per path and 18 per chunk: 10 paths span 4 chunks of 3, 3, 3, 1 rows
+        # 6 grid values per path and 18 per block: 10 paths span 4 blocks of
+        # 3, 3, 3, 1 rows, and block b continues no stream but starts its own
         params = make_params(n=2, steps=5, theta=0.3, s0=-1.5)
         trades = np.random.default_rng(13).normal(size=(6, 2))
         strategies = list(trades.T)
-        monkeypatch.setattr(simulation, "_CHUNK_VALUES", 18)
+        monkeypatch.setattr(simulation, "_BLOCK_VALUES", 18)
         count, seed, rows = 10, 14, 3
 
-        whole = np.random.default_rng(seed).standard_normal((count, 6))
-        rng = np.random.default_rng(seed)
-        chunks = [rng.standard_normal((min(rows, count - s), 6)) for s in range(0, count, rows)]
-        assert len(chunks) == 4
-        assert np.array_equal(np.concatenate(chunks), whole)
+        blocks = [
+            block_normals(seed, b, (min(rows, count - s), 6))
+            for b, s in enumerate(range(0, count, rows))
+        ]
+        assert len(blocks) == 4
+        whole = np.concatenate(blocks)
+        assert whole.shape == (count, 6)
 
         batch = simulate_paths(params, strategies, count, seed)
         stds = np.sqrt(np.diff(params.phi_at_grid(), prepend=0.0))
@@ -252,6 +262,48 @@ class TestSimulatePaths:
         for count, seed in [(0, 1), (1.5, 1), (True, 1), (10, -1), (10, 0.5)]:
             with pytest.raises(ParameterError):
                 simulate_paths(params, eq.strategies, count, seed)
+
+
+    @pytest.mark.parametrize("block_values", [18, None], ids=["34 blocks", "2 blocks"])
+    def test_costs_do_not_depend_on_the_thread_count(self, monkeypatch, block_values):
+        # 6 grid values per path: 100 paths in blocks of 3 rows, or 1e5 paths in
+        # the default blocks of 87381 rows; never more than two blocks at once
+        count = 100 if block_values else 100_000
+        if block_values:
+            monkeypatch.setattr(simulation, "_BLOCK_VALUES", block_values)
+        params = make_params(n=2, steps=5, theta=0.3)
+        strategies = list(np.random.default_rng(17).normal(size=(6, 2)).T)
+        workers = []
+        ordered_map = simulation.ordered_map
+
+        def recording(fn, jobs, count):
+            workers.append(count)
+            return ordered_map(fn, jobs, count)
+
+        monkeypatch.setattr(simulation, "ordered_map", recording)
+        batches = []
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("IMPACT_GAME_THREADS", threads)
+            batches.append(simulate_paths(params, strategies, count, 21).costs)
+        assert workers == [1, 2, 2]
+        for batch in batches[1:]:
+            assert np.array_equal(batch, batches[0])
+
+
+class TestReductions:
+    def test_nonnegative_sums_match_fsum(self):
+        # the criterion-8 sample: squared and fourth-power cost deviations and
+        # the squared utility deviations, pairwise against compensated sums
+        params = make_params(n=2, steps=10, gamma=0.5, theta=0.1)
+        eq = nash_equilibrium(params, [1.0, 0.5])
+        costs = simulate_paths(params, eq.strategies, 100_000, 20250814).costs
+        for c in costs.T:
+            utilities = (1.0 - np.exp(0.5 * c)) / 0.5
+            for values, power in ((c, 2), (c, 4), (utilities, 2)):
+                centered = values - math.fsum(values.tolist()) / values.size
+                exact = math.fsum(x**power for x in centered.tolist()) / values.size
+                operand = centered if power == 2 else np.square(centered)
+                assert simulation._mean_square(operand) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 class TestValidateMoments:
