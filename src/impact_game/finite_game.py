@@ -182,21 +182,35 @@ def build_matrices(params: GameParams) -> KernelMatrices:
         raise ParameterError(
             f"kernel matrix entries overflow: gamma * max phi + G(0) + 2 theta = {bound}"
         )
+    return KernelMatrices._adopt(*_assemble_rows(params, 0, times.size))
+
+
+def _assemble_rows(params: GameParams, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows start .. stop - 1 of Gamma and Gtilde, as two fresh writable arrays.
+
+    Every entry is computed by the same operations in the same order as in
+    the full build, so the rows equal build_matrices' rows bit for bit.  No
+    size or overflow check is made here; build_matrices makes both.
+    """
+    times = params.grid.times
+    phi = params.phi_at_grid()
     # TimeGrid guarantees finite, nonnegative lags; the kernel overwrites them in place
-    decay = np.subtract.outer(times, times)
+    decay = np.subtract.outer(times[start:stop], times)
     np.abs(decay, out=decay)
     in_place = getattr(params.kernel, "_eval_in_place", None)
     if in_place is not None:
         decay = in_place(decay)
     else:
         decay = np.asarray(params.kernel.eval(decay), dtype=float)
-    full = np.minimum.outer(phi, phi)
+    full = np.minimum.outer(phi[start:stop], phi)
     full *= params.gamma
     full += decay
-    np.fill_diagonal(full, full.diagonal() + 2.0 * params.theta)
-    tilde = np.tril(decay)
-    np.fill_diagonal(tilde, 0.5 * tilde.diagonal())
-    return KernelMatrices._adopt(full, tilde)
+    # entry (k, start + k) of the block is the matrix diagonal
+    diagonal = (np.arange(stop - start), np.arange(start, stop))
+    full[diagonal] += 2.0 * params.theta
+    tilde = np.tril(decay, start)
+    tilde[diagonal] *= 0.5
+    return full, tilde
 
 
 def _combined(matrices: KernelMatrices, weight: float, order: str = "C") -> np.ndarray:

@@ -13,21 +13,24 @@ critical transaction-cost level theta = (n - 1)/4; zero-sum inventory
 profiles work for every theta >= 0.
 
 Sequences are truncated once the discarded normalized mass drops below a
-caller-chosen bound eps (default 1e-12).  A truncation longer than
-_MAX_TRUNCATION_LEN entries, or an identity check on dense matrices of side
-above finite_game._MAX_DENSE_SIDE, raises ParameterError before anything is
+caller-chosen bound eps (default 1e-12).  The identity checks assemble only
+the rows they assert, in blocks of at most _BLOCK_ENTRIES matrix entries.  A
+truncation longer than _MAX_TRUNCATION_LEN entries, or an identity check on
+an extended grid of more than finite_game._MAX_DENSE_SIDE points (a cap on
+its work, not its memory), raises ParameterError before anything is
 allocated.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .finite_game import _check_dense_side, _combined, build_matrices
+from .finite_game import _assemble_rows, _check_dense_side
 from .market_model import (
     BachelierVariance,
     ExponentialKernel,
@@ -60,6 +63,9 @@ __all__ = [
 # longest truncated sequence (8 MB of float64)
 _MAX_TRUNCATION_LEN = 10**6
 
+# most matrix entries an identity check assembles at once (4 MB of float64 per matrix)
+_BLOCK_ENTRIES = 2**19
+
 
 def _check_eps(eps) -> float:
     eps = float(eps)
@@ -75,9 +81,17 @@ def _market_inputs(rho, gamma, sigma, gamma_positive: bool = True) -> tuple[floa
 
 
 def _risk_term(rate: float, gamma: float, sigma: float) -> float:
-    """gamma sigma^2 e^{-rate}/(1 - e^{-rate})^2, the variance term of both root equations."""
+    """gamma sigma^2 e^{-rate}/(1 - e^{-rate})^2, the variance term of both root equations.
+
+    Below rate ~ 1e-154 the square (1 - e^{-rate})^2 is subnormal or 0, so the
+    term divides twice instead; it then overflows to +inf (0 at gamma = 0),
+    the limit that sends both residuals to -inf.
+    """
     em = math.expm1(-rate)  # e^{-rate} - 1
-    return gamma * sigma * sigma * math.exp(-rate) / (em * em)
+    square = em * em
+    if square < sys.float_info.min:
+        return gamma * sigma * sigma * math.exp(-rate) / em / em
+    return gamma * sigma * sigma * math.exp(-rate) / square
 
 
 def alpha_residual(alpha: float, n: int, rho: float, gamma: float, sigma: float) -> float:
@@ -379,6 +393,9 @@ def _infinite_nash(n, rho, gamma, sigma, theta, inventories, eps):
 # (through the gamma sigma^2 min(i, j) term), so the matrices are rebuilt on
 # an extended grid sized to keep that error below eps/10 on the asserted
 # rows; the assertion region stays the first half of the sequence's range.
+# Only those rows are assembled, in blocks of at most _BLOCK_ENTRIES entries,
+# so a check holds a few MB whatever the grid; the dense-side cap on the
+# extended grid bounds its work.
 # ---------------------------------------------------------------------------
 
 
@@ -389,6 +406,24 @@ def _extended_grid_length(rate: float, m: int, gamma: float, sigma: float, rho: 
     return max(m, needed)
 
 
+def _identity_rows(params: GameParams, weight: int, x: np.ndarray, count: int) -> np.ndarray:
+    """Rows 0 .. count - 1 of [Gamma + weight Gtilde] x, assembled in row blocks.
+
+    A block holds at most _BLOCK_ENTRIES entries per matrix (at least one
+    row); weight Gtilde + Gamma is formed in the Gtilde block's buffer.
+    """
+    rows = np.empty(count)
+    step = max(1, _BLOCK_ENTRIES // x.size)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        full, tilde = _assemble_rows(params, start, stop)
+        tilde *= weight
+        tilde += full
+        np.matmul(tilde, x, out=rows[start:stop])
+        del full, tilde  # freed before the next block is assembled
+    return rows
+
+
 def _identity_deviation(
     rate: float, head: float, n: int, theta: float, weight: int,
     rho: float, gamma: float, sigma: float, eps: float,
@@ -397,7 +432,9 @@ def _identity_deviation(
 
     x_i = e^{-rate i} except x_0 = head; Gamma carries n agents and theta,
     and M = ceil(log(1/eps)/rate).  Every row of the infinite product equals
-    gamma sigma^2 e^{-rate}/(1 - e^{-rate})^2.
+    gamma sigma^2 e^{-rate}/(1 - e^{-rate})^2.  Only the asserted rows of the
+    extended-grid matrices are assembled, _BLOCK_ENTRIES entries at a time;
+    the extended grid is still held to finite_game._MAX_DENSE_SIDE points.
     """
     m = _truncation_index(rate, eps)
     m_build = _extended_grid_length(rate, m, gamma, sigma, rho, eps)
@@ -411,12 +448,10 @@ def _identity_deviation(
         variance=BachelierVariance(sigma),
         grid=grid,
     )
-    matrices = build_matrices(params)
     x = np.exp(-rate * grid.times)
     x[0] = head
-    # one (M+1)^2 temporary besides the two kernel matrices
-    rows = _combined(matrices, weight) @ x
-    return float(np.abs(rows[: m // 2 + 1] - _risk_term(rate, gamma, sigma)).max())
+    rows = _identity_rows(params, weight, x, m // 2 + 1)
+    return float(np.abs(rows - _risk_term(rate, gamma, sigma)).max())
 
 
 def v_identity_deviation(

@@ -261,6 +261,14 @@ class TestInfinite:
         assert out == ""
         assert "27631050 entries" in err
 
+    @pytest.mark.parametrize("rho", ["1e-20", "1e-200"])
+    def test_vanishing_decay_rate_exits_3(self, capsys, rho):
+        # at 1e-200 the risk term's (1 - e^{-alpha})^2 underflows to 0
+        code, out, err = run(capsys, ["infinite", "--n", "2", "--gamma", "1", "--rho", rho])
+        assert code == 3
+        assert out == ""
+        assert "failed to bracket the alpha root" in err
+
     def test_risk_neutral_rejected(self, capsys):
         code, _, err = run(capsys, ["infinite", "--gamma", "0"])
         assert code == 2

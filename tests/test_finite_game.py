@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import impact_game
 from impact_game import (
@@ -65,7 +67,40 @@ def random_params(rng, n_max=6, steps_max=60):
     )
 
 
+@st.composite
+def row_ranges(draw):
+    """Parameters on an equidistant or unit grid, and a nonempty row range."""
+    steps = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        grid = TimeGrid.equidistant(steps, draw(st.floats(0.5, 3.0)))
+    else:
+        grid = TimeGrid(np.arange(steps + 1, dtype=float))
+    if draw(st.booleans()):
+        kernel = ExponentialKernel(draw(st.floats(0.05, 5.0)))
+    else:
+        kernel = PowerLawKernel(draw(st.floats(0.3, 3.0)))
+    params = GameParams(
+        n=1,
+        gamma=draw(st.floats(0.0, 5.0)),
+        theta=draw(st.floats(0.0, 1.0)),
+        kernel=kernel,
+        variance=BachelierVariance(draw(st.floats(0.5, 2.0))),
+        grid=grid,
+    )
+    start = draw(st.integers(0, steps))
+    return params, start, draw(st.integers(start + 1, steps + 1))
+
+
 class TestBuildMatrices:
+    @settings(max_examples=80, deadline=None)
+    @given(row_ranges())
+    def test_row_assembly_equals_the_full_build(self, case):
+        params, start, stop = case
+        mats = build_matrices(params)
+        full, tilde = impact_game.finite_game._assemble_rows(params, start, stop)
+        assert np.array_equal(full, mats.full[start:stop])
+        assert np.array_equal(tilde, mats.tilde[start:stop])
+
     def test_two_point_grid_by_hand(self):
         params = GameParams(
             n=2,

@@ -1,6 +1,7 @@
 """Stationary (unbounded-grid) equilibrium: roots, sequences, identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,11 @@ class TestAlphaResidual:
         grid = np.linspace(0.05 * rho, 0.95 * rho, 60)
         values = [alpha_residual(a, 3, rho, 0.7, 1.4) for a in grid]
         assert np.all(np.diff(values) > 0.0)
+
+    def test_minus_infinity_where_the_risk_term_overflows(self):
+        # (1 - e^{-alpha})^2 underflows to 0 below alpha ~ 1e-162
+        assert alpha_residual(1e-200, 2, 1.0, 1.0, 1.0) == -math.inf
+        assert alpha_residual(1e-200, 2, 1.0, 0.0, 1.0) > 0.0  # no risk term at gamma = 0
 
 
 class TestSolveAlpha:
@@ -129,6 +135,11 @@ class TestBetaResidual:
         for theta in (0.0, 0.25, 1.0):
             limit = 2.0 * theta + 0.5
             assert abs(beta_residual(50.0, theta, 1.0, 1.0, 1.0) - limit) <= 1e-12
+        assert beta_residual(1e-200, 0.25, 1.0, 1.0, 1.0) == -math.inf
+
+    def test_risk_term_keeps_precision_where_its_square_is_subnormal(self):
+        # (1 - e^{-beta})^2 ~ 1e-320 keeps about 11 bits; gamma sigma^2 / beta^2 = 1e20
+        assert beta_residual(1e-160, 0.0, 1.0, 1e-300, 1.0) == pytest.approx(-1e20, rel=1e-12)
 
     def test_single_sign_change_on_scan(self):
         for theta in (0.25, 1.0):
@@ -247,6 +258,41 @@ class TestTruncatedIdentities:
         beta = solve_beta(theta, rho, gamma, sigma)
         assert w_identity_deviation(beta, theta, rho, gamma, sigma) <= 1e-11
 
+    @pytest.mark.parametrize("block_entries", [1, 1000, infinite_game._BLOCK_ENTRIES])
+    @pytest.mark.parametrize("which", ["v", "w"])
+    @pytest.mark.parametrize("n,rho,gamma,sigma", CASES)
+    def test_blocked_rows_match_dense_product(self, monkeypatch, n, rho, gamma, sigma, which, block_entries):
+        blocks, products = [], []
+        assemble, identity_rows = infinite_game._assemble_rows, infinite_game._identity_rows
+
+        def recording_assemble(params, start, stop):
+            blocks.append((start, stop))
+            return assemble(params, start, stop)
+
+        def recording_rows(params, weight, x, count):
+            rows = identity_rows(params, weight, x, count)
+            products.append((params, weight, x, count, rows))
+            return rows
+
+        monkeypatch.setattr(infinite_game, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(infinite_game, "_assemble_rows", recording_assemble)
+        monkeypatch.setattr(infinite_game, "_identity_rows", recording_rows)
+        if which == "v":
+            v_identity_deviation(solve_alpha(n, rho, gamma, sigma), n, rho, gamma, sigma)
+        else:
+            theta = 0.3 * n
+            w_identity_deviation(solve_beta(theta, rho, gamma, sigma), theta, rho, gamma, sigma)
+        [(params, weight, x, count, rows)] = products
+        dense = finite_game._combined(build_matrices(params), weight) @ x
+        np.testing.assert_allclose(rows, dense[:count], rtol=1e-14, atol=0.0)
+        # the blocks tile rows 0 .. count - 1, each within the entry budget
+        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert blocks[-1][1] == count
+        step = max(1, block_entries // x.size)
+        assert all(stop - start <= step for start, stop in blocks)
+        if block_entries < x.size * count:
+            assert len(blocks) > 1
+
 
 class TestSizeLimits:
     def test_long_truncation_rejected_before_allocation(self):
@@ -268,11 +314,11 @@ class TestSizeLimits:
             infinite_w(1.0)
 
     def test_large_identity_check_rejected_before_allocation(self, monkeypatch):
-        # gamma = 1e-6 would need dense matrices of side 49110 (19 GB each)
-        def no_build(params):
-            raise AssertionError("matrices built past the limit")
+        # gamma = 1e-6 would need an extended grid of 49110 points
+        def no_build(params, start, stop):
+            raise AssertionError("rows assembled past the limit")
 
-        monkeypatch.setattr(infinite_game, "build_matrices", no_build)
+        monkeypatch.setattr(infinite_game, "_assemble_rows", no_build)
         alpha = solve_alpha(1, 1.0, 1e-6, 1.0)
         with pytest.raises(ParameterError, match="side 49110"):
             v_identity_deviation(alpha, 1, 1.0, 1e-6, 1.0)
@@ -287,6 +333,22 @@ class TestSizeLimits:
         m_build = infinite_game._extended_grid_length(alpha, m, 1e-3, 1.0, 0.3, 1e-12)
         assert (m, m_build) == (4486, 5820)
         assert m_build + 1 <= finite_game._MAX_DENSE_SIDE
+
+    def test_stationary_corner_checks_stay_small(self):
+        # the asserted rows of two 5821^2 matrices, assembled in 4 MB blocks
+        n, rho, gamma = 6, 0.3, 1e-3
+        theta = critical_theta_infinite(n)
+        alpha = solve_alpha(n, rho, gamma, 1.0)
+        beta = solve_beta(theta, rho, gamma, 1.0)
+        tracemalloc.start()
+        try:
+            dev_v = v_identity_deviation(alpha, n, rho, gamma, 1.0)
+            dev_w = w_identity_deviation(beta, theta, rho, gamma, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert max(dev_v, dev_w) <= 1e-11
 
     def test_identity_limit_is_exact(self, monkeypatch):
         n, rho, gamma, sigma = 2, 1.0, 1.0, 1.0
